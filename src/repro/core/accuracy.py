@@ -1,15 +1,22 @@
 """Classification-accuracy measurement harness (Figures 1 and 2).
 
-Runs a reference stream through three models in lockstep:
+Checks the MCT against Hill's definition over one reference stream:
 
-1. the real set-associative LRU cache under study,
-2. the Miss Classification Table attached to its eviction stream,
-3. the ground-truth oracle (fully-associative LRU + first-touch set).
+1. the classify-before-fill kernel (:func:`repro.core.kernel.l1_pass`)
+   runs the real set-associative LRU cache with the MCT attached to its
+   eviction stream, and flags each reference's hit and MCT verdict;
+2. one stack-distance pass (:func:`repro.mrc.stack.stack_distances`)
+   labels every miss the way a fully-associative LRU cache of equal
+   capacity would: by LRU inclusion, a miss is a **conflict** miss iff
+   its stack distance is at most the capacity in lines, and a first
+   touch is **compulsory**.
 
-For every real-cache miss the harness records (MCT prediction, oracle
-truth) into a :class:`~repro.cache.stats.ClassificationStats` confusion
-matrix, from which the paper's *conflict accuracy* and *capacity accuracy*
-bars are read directly.
+Every real-cache miss lands in a :class:`~repro.cache.stats.ClassificationStats`
+confusion matrix (MCT prediction × true class), from which the paper's
+*conflict accuracy* and *capacity accuracy* bars are read directly.
+The result is count-for-count the same as stepping
+:class:`~repro.cache.set_assoc.SetAssociativeCache`, the MCT and
+:class:`~repro.core.ground_truth.GroundTruthClassifier` in lockstep.
 
 The paper's grouping is honoured: compulsory misses count as capacity.
 """
@@ -17,30 +24,15 @@ The paper's grouping is honoured: compulsory misses count as capacity.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats, ClassificationStats
-from repro.core.classification import MissClass
-from repro.core.ground_truth import GroundTruthClassifier
-from repro.core.mct import MissClassificationTable
+from repro.core.kernel import block_numbers, l1_pass
+from repro.mrc.stack import COLD, StackProfile, compute_profile, stack_distances
 from repro.obs.heartbeat import sim_ticker
-
-
-class MissOracle(Protocol):
-    """What :func:`measure_accuracy` needs from a ground-truth model.
-
-    :class:`~repro.core.ground_truth.GroundTruthClassifier` (simulating)
-    and :class:`~repro.mrc.oracle.StackDistanceOracle` (replaying a
-    shared stack pass) both satisfy it.  The contract inherited from the
-    classifier: :meth:`classify_miss` before :meth:`observe` for the
-    same reference, and one fresh oracle per replay of a stream.
-    """
-
-    def classify_miss(self, addr: int) -> MissClass: ...
-
-    def observe(self, addr: int) -> None: ...
 
 
 @dataclass
@@ -79,7 +71,7 @@ class AccuracyResult:
 def _accuracy_counters(result: AccuracyResult) -> dict:
     """Counter snapshot of an accuracy run, in the obs metrics shape.
 
-    ``result.cache`` is only populated after the final merge, so
+    ``result.cache`` is only populated at the end of the run, so
     mid-run deltas carry the classification counters and the closing
     delta carries the cache counters — the replay still reconciles
     exactly against the final snapshot.
@@ -96,7 +88,7 @@ def measure_accuracy(
     geometry: CacheGeometry,
     *,
     tag_bits: Optional[int] = None,
-    oracle: Optional[MissOracle] = None,
+    profile: Optional[StackProfile] = None,
 ) -> AccuracyResult:
     """Measure MCT classification accuracy over a reference stream.
 
@@ -109,72 +101,88 @@ def measure_accuracy(
         these; Figure 2 fixes 16KB direct-mapped).
     tag_bits:
         Stored-tag width for the MCT; None stores the complete tag.
-    oracle:
-        Ground-truth model to classify misses against; defaults to a
-        fresh simulating :class:`GroundTruthClassifier` for the
-        geometry.  Sweeps that replay one stream through several
-        equal-capacity configurations pass
-        :meth:`repro.mrc.oracle.SharedGroundTruth.oracle` instead, so
-        the fully-associative model is paid for once, not per
-        configuration.  Must be fresh (nothing classified yet) and
-        built for exactly this stream's capacity view.
+    profile:
+        The stack profile of exactly this stream at the geometry's line
+        size (:func:`repro.mrc.stack.compute_profile`).  Hill's labels
+        depend on the capacity only through a threshold, so sweeps over
+        tag widths or associativities pass one profile to every cell
+        instead of paying for the stack pass per cell.  Computed here
+        when omitted.
 
     Returns
     -------
     AccuracyResult
         Confusion matrix plus cache-level statistics.
     """
-    mct = MissClassificationTable(geometry, tag_bits=tag_bits)
-    cache = SetAssociativeCache(geometry, name="accuracy-L1", on_evict=mct.on_evict)
-    if oracle is None:
-        oracle = GroundTruthClassifier(geometry)
-    result = AccuracyResult(geometry=geometry, tag_bits=tag_bits)
-
+    refs = len(addresses) if hasattr(addresses, "__len__") else None
     ticker = sim_ticker(
         bench="accuracy",
         policy=f"mct[{'full' if tag_bits is None else tag_bits}b]",
-        refs=len(addresses) if hasattr(addresses, "__len__") else None,
+        refs=refs,
         warmup=0,
     )
     if ticker is not None:
         ticker.begin()
-    every = ticker.every if ticker is not None else 0
-    processed = 0
 
-    for addr in addresses:
-        outcome = cache.lookup(addr)
-        if not outcome.hit:
-            # Classify with both models before any state is updated by
-            # this miss, then fill (which feeds the eviction to the MCT).
-            predicted = mct.classify(addr)
-            actual = oracle.classify_miss(addr)
-            result.classification.record(
-                predicted_conflict=predicted.is_conflict,
-                actual_conflict=actual.is_conflict,
-            )
-            if actual.value == "compulsory":
-                result.compulsory_misses += 1
-            cache.fill(addr)
-        oracle.observe(addr)
-        if every:
-            processed += 1
-            if processed % every == 0:
-                # Accuracy-so-far over the references seen to this point.
-                ticker.tick(
-                    processed,
-                    _accuracy_counters(result),
-                    overall_accuracy=round(result.overall_accuracy, 4),
-                    conflict_accuracy=round(result.conflict_accuracy, 4),
-                    capacity_accuracy=round(result.capacity_accuracy, 4),
-                    miss_rate=round(cache.stats.miss_rate, 4),
-                )
-
-    result.cache.merge(cache.stats)
-    if ticker is not None:
-        ticker.finish(
-            processed if every else cache.stats.accesses,
-            _accuracy_counters(result),
+    if refs is None:
+        addresses = list(addresses)
+    blocks = block_numbers(addresses, geometry)
+    n = int(len(blocks))
+    if profile is None:
+        distances = stack_distances(blocks)
+    elif profile.line_size != geometry.line_size or profile.total_refs != n:
+        raise ValueError(
+            f"profile of {profile.total_refs} refs at {profile.line_size}B "
+            f"lines does not describe this stream ({n} refs, "
+            f"{geometry.line_size}B lines)"
         )
+    else:
+        distances = profile.distances
+    flags = l1_pass(blocks, geometry, tag_bits)
+
+    miss = ~flags.hit
+    cold = distances == COLD
+    actual = miss & ~cold & (distances <= geometry.num_lines)
+    capacity = miss & ~actual
+    # One row per counter: the confusion matrix in ClassificationStats
+    # field order, then compulsory misses, then all misses.
+    rows = np.stack(
+        (
+            actual & flags.conflict,
+            actual & ~flags.conflict,
+            capacity & ~flags.conflict,
+            capacity & flags.conflict,
+            miss & cold,
+            miss,
+        )
+    )
+    every = ticker.every if ticker is not None else 0
+    if ticker is not None and every > 0:
+        # Accuracy-so-far at each heartbeat, read off prefix sums.  The
+        # cache counters publish only at the end, as the scalar loop did.
+        at_ticks = np.cumsum(rows, axis=1, dtype=np.int64)[:, every - 1 :: every]
+        for done, counts in zip(range(every, n + 1, every), at_ticks.T.tolist()):
+            partial = _result_at(geometry, tag_bits, counts)
+            ticker.tick(
+                done,
+                _accuracy_counters(partial),
+                overall_accuracy=round(partial.overall_accuracy, 4),
+                conflict_accuracy=round(partial.conflict_accuracy, 4),
+                capacity_accuracy=round(partial.capacity_accuracy, 4),
+                miss_rate=round(CacheStats(accesses=done, misses=counts[-1]).miss_rate, 4),
+            )
+
+    result = _result_at(geometry, tag_bits, np.count_nonzero(rows, axis=1).tolist())
+    misses = result.classification.total
+    result.cache = CacheStats(
+        accesses=n,
+        hits=n - misses,
+        misses=misses,
+        fills=misses,
+        evictions=int(np.count_nonzero(flags.evict)),
+    )
+    if ticker is not None:
+        ticker.finish(n, _accuracy_counters(result))
     # Harness debug flag: validate that misses partition exactly into
     # conflict + capacity (compulsory inside capacity) before the numbers
     # can reach any table.
@@ -184,6 +192,16 @@ def measure_accuracy(
     return result
 
 
+def _result_at(
+    geometry: CacheGeometry, tag_bits: Optional[int], counts: list[int]
+) -> AccuracyResult:
+    """An :class:`AccuracyResult` from one column of the counter rows."""
+    *matrix, compulsory, _ = counts
+    return AccuracyResult(
+        geometry, tag_bits, ClassificationStats(*matrix), compulsory_misses=compulsory
+    )
+
+
 def sweep_tag_bits(
     addresses: list[int],
     geometry: CacheGeometry,
@@ -191,8 +209,10 @@ def sweep_tag_bits(
 ) -> list[AccuracyResult]:
     """Run :func:`measure_accuracy` once per stored-tag width (Figure 2).
 
-    ``addresses`` must be a concrete list (it is replayed per width).
+    One stack profile of ``addresses`` serves every width.
     """
+    profile = compute_profile(addresses, geometry.line_size)
     return [
-        measure_accuracy(addresses, geometry, tag_bits=bits) for bits in bit_widths
+        measure_accuracy(addresses, geometry, tag_bits=bits, profile=profile)
+        for bits in bit_widths
     ]

@@ -28,6 +28,7 @@ from typing import List, Optional
 from repro.cache.geometry import CacheGeometry
 from repro.cache.line import EvictedLine
 from repro.core.classification import MissClass
+from repro.core.kernel import check_tag_bits
 
 
 class MissClassificationTable:
@@ -60,8 +61,7 @@ class MissClassificationTable:
     def __init__(
         self, geometry: CacheGeometry, tag_bits: Optional[int] = None
     ) -> None:
-        if tag_bits is not None and tag_bits < 1:
-            raise ValueError(f"tag_bits must be >= 1 or None, got {tag_bits}")
+        check_tag_bits(tag_bits)
         self.geometry = geometry
         self.tag_bits = tag_bits
         self._mask = None if tag_bits is None else (1 << tag_bits) - 1

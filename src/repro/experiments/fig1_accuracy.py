@@ -20,6 +20,7 @@ from repro.experiments.base import (
     ExperimentResult,
     FULL_SUITE,
 )
+from repro.mrc.stack import compute_profile
 from repro.workloads.spec_analogs import build
 
 #: The four bars of Figure 1, left to right.
@@ -47,9 +48,12 @@ def run(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
     agg = [[0, 0, 0, 0] for _ in FIG1_CONFIGS]  # cf_ok, cf_all, cp_ok, cp_all
     for name in suite:
         trace = build(name, params.n_refs, params.seed)
+        # One stack pass labels the misses of all four configurations
+        # (they share the line size; capacity is only a threshold).
+        profile = compute_profile(trace.addresses, FIG1_CONFIGS[0].line_size)
         cells: list[object] = [name]
         for i, geometry in enumerate(FIG1_CONFIGS):
-            acc = measure_accuracy(trace.addresses, geometry)
+            acc = measure_accuracy(trace.addresses, geometry, profile=profile)
             cells.extend([acc.conflict_accuracy, acc.capacity_accuracy])
             c = acc.classification
             agg[i][0] += c.conflict_as_conflict

@@ -23,6 +23,7 @@ from repro.experiments.base import (
     ExperimentResult,
     FULL_SUITE,
 )
+from repro.mrc.stack import compute_profile
 from repro.workloads.spec_analogs import build
 
 #: The x-axis of Figure 2 (None = full tag).
@@ -42,10 +43,17 @@ def run(params: ExperimentParams = DEFAULT_PARAMS) -> ExperimentResult:
     )
 
     traces = {name: build(name, params.n_refs, params.seed) for name in suite}
+    # One stack pass per trace labels the misses at every width.
+    profiles = {
+        name: compute_profile(trace.addresses, FIG2_GEOMETRY.line_size)
+        for name, trace in traces.items()
+    }
     for bits in FIG2_BIT_WIDTHS:
         cf_ok = cf_all = cp_ok = cp_all = 0
-        for trace in traces.values():
-            acc = measure_accuracy(trace.addresses, FIG2_GEOMETRY, tag_bits=bits)
+        for name, trace in traces.items():
+            acc = measure_accuracy(
+                trace.addresses, FIG2_GEOMETRY, tag_bits=bits, profile=profiles[name]
+            )
             c = acc.classification
             cf_ok += c.conflict_as_conflict
             cf_all += c.true_conflicts

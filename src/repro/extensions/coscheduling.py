@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.cache.geometry import CacheGeometry
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.core.mct import MissClassificationTable
+from repro.cache.stats import CacheStats
+from repro.core.kernel import block_numbers, l1_pass
 from repro.workloads.trace import Trace, merge_round_robin
 
 
@@ -58,20 +60,13 @@ class CoScheduleAdvisor:
     def measure_pair(self, a: Trace, b: Trace) -> PairingReport:
         """Run two jobs interleaved on the shared cache and classify."""
         merged = merge_round_robin([a, b])
-        mct = MissClassificationTable(self.geometry)
-        cache = SetAssociativeCache(self.geometry, on_evict=mct.on_evict)
-        conflicts = 0
-        for addr in merged.addresses:
-            addr = int(addr)
-            out = cache.lookup(addr)
-            if not out.hit:
-                if mct.classify_is_conflict(addr):
-                    conflicts += 1
-                cache.fill(addr)
-        n = cache.stats.accesses
+        flags = l1_pass(block_numbers(merged.addresses, self.geometry), self.geometry)
+        n = len(merged)
+        conflicts = int(np.count_nonzero(flags.conflict))
+        misses = n - int(np.count_nonzero(flags.hit))
         report = PairingReport(
             jobs=(a.name, b.name),
-            miss_rate=cache.stats.miss_rate,
+            miss_rate=CacheStats(accesses=n, misses=misses).miss_rate,
             conflict_miss_rate=100.0 * conflicts / n if n else 0.0,
         )
         self._reports[self._key(a.name, b.name)] = report

@@ -11,26 +11,31 @@ the shared single-pass :class:`~repro.mrc.stack.StackProfile`:
   **conflict**;
 * otherwise — **capacity**.
 
-The per-size replay itself is the cheap half (a per-set LRU update per
-reference); the expensive FA model is read off the one stack pass for
-every size, which is what turns the O(sizes × trace) ground-truth sweep
-into O(trace).  The real-cache side is a plain LRU set-associative
-model, hit/miss-equivalent to
-:class:`~repro.cache.set_assoc.SetAssociativeCache` with its default
-LRU policy — the test suite pins the decomposition, count for count, to
-:class:`~repro.core.ground_truth.GroundTruthClassifier` running against
-that cache.
+The FA model is read off the one stack pass for every size, so the
+ground-truth side of a sweep costs one pass, not one simulation per
+size.  The real-cache side at each size is the set-LRU pass
+(:func:`~repro.mrc.stack.set_lru_flags`) over the blocks sorted by set,
+hit/miss-equivalent to :class:`~repro.cache.set_assoc.SetAssociativeCache`
+with its default LRU policy — the test suite pins the decomposition,
+count for count, to :class:`~repro.core.ground_truth.GroundTruthClassifier`
+running against that cache.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.mrc.stack import COLD, StackProfile, _is_pow2, _log2, compute_profile
+from repro.mrc.stack import (
+    COLD,
+    StackProfile,
+    _is_pow2,
+    _log2,
+    compute_profile,
+    set_lru_flags,
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class ConflictSplit:
 
 
 def decompose_size(
-    blocks: Sequence[int],
+    blocks: "np.ndarray | Sequence[int]",
     profile: StackProfile,
     size_lines: int,
     assoc: int,
@@ -104,29 +109,16 @@ def decompose_size(
             f"set count {num_sets} must be a power of two (bit-selection "
             f"indexing)"
         )
-    mask = num_sets - 1
-    distances = profile.distances.tolist()
-    sets: Dict[int, "OrderedDict[int, None]"] = {}
-    misses = compulsory = conflict = capacity = 0
-    for pos, block in enumerate(blocks):
-        lru = sets.get(block & mask)
-        if lru is None:
-            lru = OrderedDict()
-            sets[block & mask] = lru
-        if block in lru:
-            lru.move_to_end(block)
-            continue
-        misses += 1
-        distance = distances[pos]
-        if distance == COLD:
-            compulsory += 1
-        elif distance <= size_lines:
-            conflict += 1
-        else:
-            capacity += 1
-        if len(lru) >= assoc:
-            lru.popitem(last=False)
-        lru[block] = None
+    block_array = np.asarray(blocks, dtype=np.int64)
+    sets = block_array & (num_sets - 1)
+    order = np.argsort(sets, kind="stable")
+    hit, _ = set_lru_flags(block_array[order], sets[order], assoc)
+    # Counts do not depend on order, so the labels stay set-sorted.
+    distances = profile.distances[order[~hit]]
+    misses = int(len(distances))
+    compulsory = int(np.count_nonzero(distances == COLD))
+    conflict = int(np.count_nonzero((distances != COLD) & (distances <= size_lines)))
+    capacity = misses - compulsory - conflict
     return ConflictSplit(
         size_lines=size_lines,
         assoc=assoc,
@@ -165,7 +157,7 @@ def conflict_decomposition(
             f"profile covers {profile.total_refs} refs, stream has "
             f"{len(addr_array)}"
         )
-    blocks: List[int] = (addr_array >> _log2(line_size)).tolist()
+    blocks = addr_array >> _log2(line_size)
     return [
         decompose_size(blocks, profile, size, assoc) for size in sizes_lines
     ]

@@ -43,8 +43,8 @@ single FA-LRU cache in Python, let alone one per probed size.
 
 The per-reference distances are retained (not just a histogram) because
 the conflict-decomposition layer (:mod:`repro.mrc.decompose`) and the
-ground-truth replay oracle (:mod:`repro.mrc.oracle`) classify
-*individual* real-cache misses against them.
+accuracy harness (:mod:`repro.core.accuracy`) label *individual*
+real-cache misses with them.
 """
 
 from __future__ import annotations
@@ -158,13 +158,13 @@ def _validated_blocks(
 def _prev_positions(blocks: "np.ndarray") -> "np.ndarray":
     """1-based previous-occurrence position per reference (0 = cold)."""
     n = int(len(blocks))
-    _, inverse = np.unique(blocks, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    sorted_ids = inverse[order]
-    prev = np.zeros(n, dtype=np.int64)
-    # Within each equal-id run of the stable sort, positions ascend, so
+    order = np.argsort(blocks, kind="stable")
+    sorted_blocks = blocks[order]
+    # Within each equal-block run of the stable sort, positions ascend, so
     # each element's predecessor in the run is its previous occurrence.
-    same = sorted_ids[1:] == sorted_ids[:-1]
+    same = sorted_blocks[1:] == sorted_blocks[:-1]
+    del sorted_blocks
+    prev = np.zeros(n, dtype=np.int64)
     prev[order[1:]] = np.where(same, order[:-1] + 1, 0)
     return prev
 
@@ -177,38 +177,39 @@ def _inversions_above(values: "np.ndarray") -> "np.ndarray":
     the left half and ``t`` in the right half of the same aligned
     ``2w`` block (the level of their highest differing index bit).  Row
     offsets larger than any value let one flat ``searchsorted`` answer
-    every row's query at once.
+    every row's query at once.  Values and counts live in buffers padded
+    to a power of two, so every level views them as whole rows (the
+    ``-1`` pad only ever sits right of every real position).
     """
     n = int(len(values))
-    out = np.zeros(n, dtype=np.int64)
     if n < 2:
-        return out
+        return np.zeros(n, dtype=np.int64)
+    size = 1 << (n - 1).bit_length()
+    padded = np.full(size, -1, dtype=np.int64)
+    padded[:n] = values
+    out = np.zeros(size, dtype=np.int64)
     span = int(values.max()) + 2  # row stride; pad value -1 stays inside
     width = 1
     while width < n:
         pair = 2 * width
         rows = (n + pair - 1) // pair
-        padded = np.full(rows * pair, -1, dtype=np.int64)
-        padded[:n] = values
-        table = padded.reshape(rows, pair)
+        table = padded[: rows * pair].reshape(rows, pair)
+        offsets = np.arange(rows, dtype=np.int64)[:, None] * span
         # Value-only sort feeding searchsorted ranks; ties carry equal
         # values, so the unstable kind cannot change any rank.
         left = np.sort(table[:, :width], axis=1)  # repro: noqa[RPR060]
-        right = table[:, width:]
-        offsets = np.arange(rows, dtype=np.int64)[:, None] * span
-        ranks = np.searchsorted(
-            (left + offsets).ravel(), (right + offsets).ravel(), side="right"
-        )
-        counts = width - (ranks - np.repeat(np.arange(rows) * width, width))
-        targets = (
-            np.arange(rows * pair).reshape(rows, pair)[:, width:].ravel()
-        )
-        keep = targets < n
-        # Targets are unique within a level, so a fancy-indexed add is
-        # safe (and much cheaper than np.add.at's unbuffered path).
-        out[targets[keep]] += counts[keep]
+        left += offsets
+        right = table[:, width:] + offsets
+        ranks = np.searchsorted(left.ravel(), right.ravel(), side="right")
+        del left, right
+        # Left values above each target: row r's ranks start at r * width,
+        # so the count is (r + 1) * width - rank.
+        counts = ranks.reshape(rows, width)
+        row_ends = np.arange(1, rows + 1, dtype=np.int64)[:, None] * width
+        np.subtract(row_ends, counts, out=counts)
+        out[: rows * pair].reshape(rows, pair)[:, width:] += counts
         width = pair
-    return out
+    return out[:n]
 
 
 def stack_distances(blocks: "np.ndarray") -> "np.ndarray":
@@ -232,8 +233,9 @@ def stack_distances(blocks: "np.ndarray") -> "np.ndarray":
         return np.empty(0, dtype=np.int64)
     prev = _prev_positions(blocks)
     duplicates = _inversions_above(prev)
-    positions = np.arange(1, n + 1, dtype=np.int64)
-    distances = positions - prev - duplicates
+    distances = np.arange(1, n + 1, dtype=np.int64)
+    distances -= prev
+    distances -= duplicates
     distances[prev == 0] = COLD
     return distances
 
@@ -256,25 +258,29 @@ def set_lru_flags(
       segment (cold misses before it) is ``>= assoc`` — matching an LRU
       victim picker that prefers invalid ways.
 
-    Shared by the simulation engine's L1 and L2 passes
-    (:mod:`repro.system.vector`); the caller scatters the flags back to
-    trace order with the inverse of its sorting permutation.
+    Shared by the set-associative L1 kernel (:mod:`repro.core.kernel`),
+    the vector engine's L2 pass (:mod:`repro.system.vector`) and the
+    conflict decomposition; a caller that needs trace order scatters the
+    flags back with the inverse of its sorting permutation.
     """
     k = int(len(blocks))
     if k == 0:
         empty = np.zeros(0, dtype=bool)
         return empty, empty.copy()
     distances = stack_distances(blocks)
-    hit = (distances != COLD) & (distances <= assoc)
-
-    cold = (distances == COLD).astype(np.int64)
-    cold_before = np.cumsum(cold) - cold
-    seg_start = np.empty(k, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(sets[1:], sets[:-1], out=seg_start[1:])
-    positions = np.arange(k, dtype=np.int64)
-    seg_first = np.maximum.accumulate(np.where(seg_start, positions, 0))
-    distinct_before = cold_before - cold_before[seg_first]
+    cold = distances == COLD
+    hit = ~cold & (distances <= assoc)
+    del distances
+    # Distinct blocks seen earlier in the segment: cold misses before
+    # each position, less those before the segment's first position.
+    distinct_before = np.cumsum(cold, dtype=np.int64)
+    distinct_before -= cold
+    starts = np.flatnonzero(
+        np.concatenate(([True], sets[1:] != sets[:-1]))
+    )
+    distinct_before -= np.repeat(
+        distinct_before[starts], np.diff(np.append(starts, k))
+    )
     evict = ~hit & (distinct_before >= assoc)
     return hit, evict
 
@@ -287,8 +293,8 @@ def compute_profile(
     Addresses are reduced to line-granular block numbers with
     ``line_size`` (a power of two), exactly like
     :meth:`repro.cache.geometry.CacheGeometry.block_number`, so the
-    resulting profile is interchangeable with the ground-truth oracle's
-    view of the same stream.  Distances are bit-identical to
+    resulting profile labels the same misses as the ground-truth
+    classifier's view of the same stream.  Distances are bit-identical to
     :func:`compute_profile_reference` (the property tests enforce it);
     this path is the vectorised engine described in the module
     docstring.

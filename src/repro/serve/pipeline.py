@@ -3,11 +3,12 @@
 One :class:`TenantPipeline` owns everything a session accumulates, and
 all of it is constant-size once the session opens:
 
-* a direct-mapped resident-tag array (the L1 the tenant asked about) —
-  one slot per set;
-* the paper's :class:`~repro.core.mct.MissClassificationTable` — one
-  evicted tag per set, consulted on every miss *before* the fill, so
-  conflict vs capacity is decided exactly as the hardware would;
+* the direct-mapped L1 the tenant asked about and its Miss
+  Classification Table, as two per-set arrays (resident block, stored
+  evicted tag) that the resumable classify-before-fill kernel
+  (:func:`repro.core.kernel.direct_mapped_pass`) carries from batch to
+  batch — every miss is classified *before* its fill, exactly as the
+  hardware would;
 * a fixed-size :class:`~repro.mrc.ShardsEstimator` — the sampled
   fully-associative model that prices Hill's definition of the same
   split, bounded by the tenant's byte budget.
@@ -16,23 +17,22 @@ The two classifiers answer the same question from opposite sides
 (mechanism vs model), which is what makes the service's *verdict*
 trustworthy: a victim cache is recommended only when both the MCT's
 conflict share and the model-side share (actual miss rate vs the FA
-miss ratio at equal capacity, the PR-5 decomposition) say the misses
+miss ratio at equal capacity, Hill's decomposition) say the misses
 are conflict-driven.
 
-``feed`` is the hot path: address decomposition is vectorised with
-numpy, the residency check is a tight loop over plain ints, and only
-actual misses pay the MCT method calls.
+``feed`` is the hot path: one kernel call per batch, then counts of
+its flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.core.mct import MissClassificationTable
+from repro.core.kernel import block_numbers, check_tag_bits, direct_mapped_pass
 from repro.mrc.sampling import SampleResult, ShardsEstimator
 
 #: Verdict thresholds.  ``victim_cache`` needs *both* classifiers to
@@ -110,7 +110,8 @@ class TenantPipeline:
         self.geometry = CacheGeometry(
             size=cache_kb * 1024, assoc=1, line_size=line_size
         )
-        self.mct = MissClassificationTable(self.geometry, tag_bits)
+        check_tag_bits(tag_bits)
+        self.tag_bits = tag_bits
         self.max_blocks = max_blocks
         capacity_lines = self.geometry.num_lines
         self.estimator = ShardsEstimator(
@@ -120,8 +121,9 @@ class TenantPipeline:
             seed=seed,
         )
         self._capacity_lines = capacity_lines
-        #: Resident tag per set; -1 = invalid (no tag is negative).
-        self._resident: List[int] = [-1] * self.geometry.num_sets
+        #: Per-set resident block and stored MCT tag; -1 = invalid.
+        self._resident = np.full(self.geometry.num_sets, -1, dtype=np.int64)
+        self._stored = np.full(self.geometry.num_sets, -1, dtype=np.int64)
         self.refs = 0
         self.misses = 0
         self.conflict_misses = 0
@@ -130,39 +132,27 @@ class TenantPipeline:
     # ------------------------------------------------------------------
     # Hot path
     # ------------------------------------------------------------------
-    def feed(self, addresses: Sequence[int]) -> int:
+    def feed(self, addresses: "Sequence[int] | np.ndarray") -> int:
         """Run one address batch through both classifiers; returns refs."""
         if len(addresses) == 0:
             return 0
         arr = np.asarray(addresses, dtype=np.uint64)
         self.estimator.feed(arr)
-        geo = self.geometry
-        idx_list = ((arr >> np.uint64(geo.offset_bits)) & np.uint64(geo.num_sets - 1)).tolist()
-        tag_list = (arr >> np.uint64(geo.offset_bits + geo.index_bits)).tolist()
-        resident = self._resident
-        classify = self.mct.classify_is_conflict
-        record = self.mct.record_eviction
-        offset_index_bits = geo.offset_bits + geo.index_bits
-        misses = 0
-        conflicts = 0
-        for set_index, tag in zip(idx_list, tag_list):
-            prev = resident[set_index]
-            if prev == tag:
-                continue
-            misses += 1
-            # Classify *before* the fill updates any state, exactly as
-            # the hardware does (the MCT compares against the tag most
-            # recently evicted from this set).
-            if classify((tag << offset_index_bits) | (set_index << geo.offset_bits)):
-                conflicts += 1
-            if prev >= 0:
-                record(set_index, prev)
-            resident[set_index] = tag
-        self.refs += len(idx_list)
+        flags = direct_mapped_pass(
+            block_numbers(arr, self.geometry),
+            self.geometry,
+            self.tag_bits,
+            resident=self._resident,
+            stored=self._stored,
+        )
+        n = len(arr)
+        misses = n - int(np.count_nonzero(flags.hit))
+        conflicts = int(np.count_nonzero(flags.conflict))
+        self.refs += n
         self.misses += misses
         self.conflict_misses += conflicts
         self.capacity_misses += misses - conflicts
-        return len(idx_list)
+        return n
 
     # ------------------------------------------------------------------
     # Queries
@@ -189,7 +179,7 @@ class TenantPipeline:
     def model_conflict_share(self) -> float:
         """Share of the actual miss rate the FA model would eliminate.
 
-        The PR-5 decomposition read sideways: misses with FA stack
+        Hill's decomposition read sideways: misses with FA stack
         distance within capacity are conflict misses, so
         ``1 - fa_ratio / miss_rate`` is the model's conflict share
         (clamped at 0 — sampling noise can put the FA ratio above the

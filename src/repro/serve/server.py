@@ -33,6 +33,8 @@ import asyncio
 import time
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro import faults
 from repro.faults.plan import InjectedCrash
 from repro.obs import events
@@ -319,13 +321,14 @@ class ConflictServer:
                 f"batch of {len(addrs)} refs exceeds max_batch_refs "
                 f"{self.config.max_batch_refs}"
             )
+        batch = _as_addresses(addrs)
         # The injected-crash hook sits *before* processing: a fault here
         # means the batch event is never emitted, so the stream stays
         # consistent whether the kind is an exception (session closes
         # with reason "error") or a kill (validator rejects the
         # open-without-close it leaves behind).
         faults.fire("serve_batch")
-        fed = sess.pipeline.feed(addrs)
+        fed = sess.pipeline.feed(batch)
         sess.batches += 1
         self.refs_total += fed
         self.emit("batch", session=sess.sid, refs=fed)
@@ -405,6 +408,18 @@ class ConflictServer:
 
     def session_tenants(self) -> List[str]:
         return sorted(s.tenant for s in self._sessions.values())
+
+
+def _as_addresses(addrs: List[object]) -> "np.ndarray":
+    """A batch's addresses as uint64, or :class:`FrameError` when any is
+    not an integer (bools excluded) in [0, 2**64)."""
+    error = FrameError("addrs must be integers in [0, 2**64)")
+    if not set(map(type, addrs)) <= {int}:
+        raise error
+    try:
+        return np.asarray(addrs, dtype=np.uint64)
+    except OverflowError:
+        raise error from None
 
 
 def _as_int(value: object, field: str) -> int:

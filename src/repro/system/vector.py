@@ -15,43 +15,16 @@ engine's (``as_dict()`` compares equal, and serialises to the same JSON
 bytes).  Eligibility is the bufferless hierarchy — see
 :func:`vector_supported`; buffered policies keep cross-set
 fully-associative state and stay on the scalar reference engine.  Any
-power-of-two L1 associativity is eligible: direct-mapped sets take the
-shift-compare fast path below, wider sets a per-segment LRU replay
-built from the same Mattson machinery as the L2 pass.
+power-of-two L1 associativity is eligible.
 
 Pass structure
 --------------
 
-1. **Partition** — one stable argsort of the trace by L1 set index.
-   Each set's reference subsequence is then a contiguous, in-order
-   segment of the sorted stream, and all per-set state (the resident
-   tags, the lines' dirty bits, the MCT entry) becomes expressible as
-   shifted comparisons and prefix sums within segments.  Direct-mapped
-   (``assoc == 1``):
-
-   * hit ⇔ same block as the previous reference in the segment;
-   * eviction ⇔ miss that is not the segment's first reference;
-   * writeback ⇔ eviction whose victim saw a write since its own fill
-     (a windowed sum over a global write-flag cumsum);
-   * MCT conflict ⇔ the paper's evicted-tag match, which in a
-     direct-mapped set reduces to ``stored_tag(miss k) ==
-     stored_tag(miss k-2)`` — at the set's k-th miss the MCT holds the
-     tag installed by miss k-1's eviction, i.e. the block miss k-2
-     brought in.
-
-   Set-associative (``assoc > 1``, :func:`_l1_set_assoc_pass`): hits
-   and evictions come from the shared set-LRU pass
-   (:func:`repro.mrc.stack.set_lru_flags` — stack distance ≤ assoc,
-   eviction once the set is full), and victim *identity* from the
-   deaths-FIFO pairing: call an occurrence a **death** when it is the
-   final touch of one residency of its block (its next same-segment
-   occurrence re-misses, or never happens).  In set-LRU the victim of
-   a segment's k-th eviction is exactly the segment's k-th death in
-   position order — an eviction victim is necessarily dead, the LRU
-   choice picks the oldest last-touch among residents, and a non-dead
-   resident older than the oldest pending death would itself have to
-   be the victim of some eviction, hence dead.  Victim writebacks and
-   MCT entries then read off the victim positions with cumsums.
+1. **L1 + MCT** — the classify-before-fill kernel
+   (:func:`repro.core.kernel.l1_pass`): trace-order hit, eviction,
+   writeback and MCT-conflict flags over the full trace (warmup
+   included — the caches and MCT warm up exactly as in the scalar
+   engine; the measured window is sliced afterwards).
 
 2. **L2** — the L1 miss stream, stably sorted by L2 set index, priced
    with the exact Mattson stack distances of :mod:`repro.mrc.stack`
@@ -82,6 +55,7 @@ import numpy as np
 from repro import faults
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import SystemStats, TimingStats
+from repro.core.kernel import l1_pass
 from repro.mrc.stack import set_lru_flags
 from repro.obs.heartbeat import sim_ticker
 from repro.system.config import MachineConfig, PAPER_MACHINE, TimingConfig
@@ -104,7 +78,7 @@ def vector_ineligibility(
     disqualifies: :class:`~repro.cache.geometry.CacheGeometry` already
     enforces power-of-two sizes and associativity at construction, and
     any power-of-two L1 associativity is vectorised
-    (:func:`_l1_set_assoc_pass`).
+    (:func:`repro.core.kernel.l1_pass`).
     """
     if policy.buffer_entries > 0:
         features = []
@@ -134,204 +108,6 @@ def vector_supported(policy: AssistConfig, machine: MachineConfig) -> bool:
     ``buffer_entries == 0`` has no victim/prefetch/exclusion behaviour.
     """
     return vector_ineligibility(policy, machine) is None
-
-
-# ----------------------------------------------------------------------
-# Pass 1: the direct-mapped L1 + MCT, per set
-# ----------------------------------------------------------------------
-def _l1_direct_mapped_pass(
-    blocks: "np.ndarray",
-    writes: "np.ndarray",
-    geometry: CacheGeometry,
-    policy: AssistConfig,
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Per-reference (hit, eviction, writeback, MCT-conflict) flags.
-
-    All four arrays are in trace order and cover the full trace (warmup
-    included — the caches and MCT warm up exactly as in the scalar
-    engine; the caller slices the measured window afterwards).
-    """
-    n = int(len(blocks))
-    sets = blocks & (geometry.num_sets - 1)
-    order = np.argsort(sets, kind="stable")
-    b = blocks[order]
-    s = sets[order]
-    w = writes[order]
-
-    # Segment starts: the first reference of each set's subsequence.
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(s[1:], s[:-1], out=seg_start[1:])
-
-    # Direct-mapped: a hit is a repeat of the immediately preceding
-    # block in the same set; every miss fills; a miss that is not the
-    # segment's first reference evicts the resident line.
-    hit_s = np.zeros(n, dtype=bool)
-    np.equal(b[1:], b[:-1], out=hit_s[1:])
-    hit_s &= ~seg_start
-    miss_s = ~hit_s
-    evict_s = miss_s & ~seg_start
-
-    # Writeback ⇔ the victim is dirty: it was filled by a write miss or
-    # written by a hit afterwards.  The victim of the eviction at sorted
-    # position i was filled at f = the previous miss in the segment, and
-    # every position in [f, i-1] references the victim's set (segments
-    # are contiguous) and the victim's block (they are hits on it, save
-    # f itself) — so "dirty" is "any write flag in [f, i-1]", a windowed
-    # sum over one global cumsum.
-    wb_s = np.zeros(n, dtype=bool)
-    if n > 1:
-        w64 = w.astype(np.int64)
-        wcum = np.cumsum(w64)
-        positions = np.arange(n, dtype=np.int64)
-        last_miss = np.maximum.accumulate(np.where(miss_s, positions, -1))
-        fills = last_miss[:-1]  # victim's fill position, aligned to i = 1..n-1
-        writes_before_fill = wcum[fills] - w64[fills]
-        wb_s[1:] = (wcum[:-1] - writes_before_fill) > 0
-        wb_s &= evict_s
-
-    # MCT: at classify time of the set's k-th miss the table holds the
-    # tag installed by miss k-1's eviction — the block miss k-2 filled —
-    # so conflict ⇔ stored_tag(k) == stored_tag(k-2).  Misses of one set
-    # are contiguous in the sorted stream's miss subsequence, so the
-    # same-set guard is one shifted compare; k >= 2 within the set is
-    # implied by it.
-    miss_positions = np.flatnonzero(miss_s)
-    miss_tags = b[miss_positions] >> geometry.index_bits
-    tag_bits = policy.mct_tag_bits
-    if tag_bits is not None and tag_bits < 63:
-        # Partial tags: compare only the stored low bits.  (>= 63 bits
-        # would overflow int64 and cannot truncate a non-negative int64
-        # tag anyway — the mask is then a no-op, as with full tags.)
-        miss_tags = miss_tags & np.int64((1 << tag_bits) - 1)
-    miss_sets = s[miss_positions]
-    conflict_m = np.zeros(len(miss_positions), dtype=bool)
-    if len(miss_positions) > 2:
-        conflict_m[2:] = (miss_sets[2:] == miss_sets[:-2]) & (
-            miss_tags[2:] == miss_tags[:-2]
-        )
-    conflict_s = np.zeros(n, dtype=bool)
-    conflict_s[miss_positions] = conflict_m
-
-    # Scatter every flag back to trace order.
-    hit = np.empty(n, dtype=bool)
-    evict = np.empty(n, dtype=bool)
-    wb = np.empty(n, dtype=bool)
-    conflict = np.empty(n, dtype=bool)
-    hit[order] = hit_s
-    evict[order] = evict_s
-    wb[order] = wb_s
-    conflict[order] = conflict_s
-    return hit, evict, wb, conflict
-
-
-def _l1_set_assoc_pass(
-    blocks: "np.ndarray",
-    writes: "np.ndarray",
-    geometry: CacheGeometry,
-    policy: AssistConfig,
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-    """The general-associativity form of :func:`_l1_direct_mapped_pass`.
-
-    Same contract — trace-order (hit, eviction, writeback, MCT-conflict)
-    flags over the full trace — for any power-of-two ``assoc``.  Hits
-    and evictions come from the shared set-LRU pass; victim identities
-    from the deaths-FIFO pairing (module docstring); dirty bits from
-    per-block write cumsums between each residency's fill and its death.
-    At ``assoc == 1`` this reproduces the direct-mapped pass exactly
-    (pinned by a test), but the shift-compare fast path stays the
-    dispatch choice there — it needs no stack-distance pass.
-    """
-    n = int(len(blocks))
-    sets = blocks & (geometry.num_sets - 1)
-    order = np.argsort(sets, kind="stable")
-    b = blocks[order]
-    s = sets[order]
-    w = writes[order]
-
-    hit_s, evict_s = set_lru_flags(b, s, geometry.assoc)
-    miss_s = ~hit_s
-
-    # Block-run order: stable sort by block id keeps each block's
-    # occurrences (all in one segment — a block has one set) contiguous
-    # and position-ascending, chaining every occurrence to its next.
-    _, ids = np.unique(b, return_inverse=True)
-    run_order = np.argsort(ids, kind="stable")
-    nxt = np.full(n, n, dtype=np.int64)
-    same_run = ids[run_order][1:] == ids[run_order][:-1]
-    nxt[run_order[:-1]] = np.where(same_run, run_order[1:], n)
-    # A death ends one residency: the block's next touch re-misses, or
-    # never comes (index n hits the appended True).
-    miss_ext = np.concatenate((miss_s, np.ones(1, dtype=bool)))
-    dead = miss_ext[nxt]
-
-    wb_s = np.zeros(n, dtype=bool)
-    conflict_s = np.zeros(n, dtype=bool)
-    evict_pos = np.flatnonzero(evict_s)
-    if len(evict_pos):
-        positions = np.arange(n, dtype=np.int64)
-        seg_start = np.empty(n, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(s[1:], s[:-1], out=seg_start[1:])
-        seg_first = np.maximum.accumulate(np.where(seg_start, positions, 0))
-
-        evict64 = evict_s.astype(np.int64)
-        dead64 = dead.astype(np.int64)
-        evict_before = np.cumsum(evict64) - evict64
-        dead_before = np.cumsum(dead64) - dead64
-        death_idx = np.flatnonzero(dead)
-        # k-th eviction of a segment evicts the segment's k-th death;
-        # segments are contiguous, so "the segment's k-th death" is a
-        # global death index offset by the deaths before the segment.
-        rank = evict_before[evict_pos] - evict_before[seg_first[evict_pos]]
-        victim_pos = death_idx[dead_before[seg_first[evict_pos]] + rank]
-
-        # Victim dirty ⇔ a write touched it between its residency's fill
-        # and its death.  In block-run order every residency starts with
-        # a miss (runs open with a cold miss), so the fill-anchor
-        # accumulate below can never leak across a run boundary.
-        w_run = w[run_order].astype(np.int64)
-        m_run = miss_s[run_order]
-        wcum_run = np.cumsum(w_run)
-        anchor = np.maximum.accumulate(
-            np.where(m_run, np.arange(n, dtype=np.int64), -1)
-        )
-        dirty_run = (wcum_run - wcum_run[anchor] + w_run[anchor]) > 0
-        dirty_at = np.empty(n, dtype=bool)
-        dirty_at[run_order] = dirty_run
-        wb_s[evict_pos] = dirty_at[victim_pos]
-
-        # MCT: at classify time of a miss the set's entry holds the
-        # (masked) tag of the set's most recent earlier eviction — the
-        # victim of global eviction number evict_before[i] (contiguity
-        # again), provided that eviction lies in this segment.
-        victim_tags = b[victim_pos] >> geometry.index_bits
-        miss_pos = np.flatnonzero(miss_s)
-        probe_tags = b[miss_pos] >> geometry.index_bits
-        tag_bits = policy.mct_tag_bits
-        if tag_bits is not None and tag_bits < 63:
-            # Same partial-tag rule as the direct-mapped pass: >= 63
-            # bits cannot truncate a non-negative int64 tag.
-            mask = np.int64((1 << tag_bits) - 1)
-            victim_tags = victim_tags & mask
-            probe_tags = probe_tags & mask
-        prior = evict_before[miss_pos]
-        has_entry = prior - evict_before[seg_first[miss_pos]] > 0
-        match = np.zeros(len(miss_pos), dtype=bool)
-        match[has_entry] = (
-            victim_tags[prior[has_entry] - 1] == probe_tags[has_entry]
-        )
-        conflict_s[miss_pos[match]] = True
-
-    hit = np.empty(n, dtype=bool)
-    evict = np.empty(n, dtype=bool)
-    wb = np.empty(n, dtype=bool)
-    conflict = np.empty(n, dtype=bool)
-    hit[order] = hit_s
-    evict[order] = evict_s
-    wb[order] = wb_s
-    conflict[order] = conflict_s
-    return hit, evict, wb, conflict
 
 
 # ----------------------------------------------------------------------
@@ -573,15 +349,19 @@ def simulate_vector(
         raise ValueError(
             f"not vector-eligible: {reason} — use the scalar engine"
         )
+    # The clock starts before the first pass, so sim_end.wall_s and the
+    # heartbeat rates time the whole simulation, not just the emission.
+    ticker = sim_ticker(
+        bench=trace.name, policy=policy.name, refs=n, warmup=warmup
+    )
+    if ticker is not None:
+        ticker.begin()
+
     geometry = machine.l1
     blocks = trace.addresses >> geometry.offset_bits
     writes = np.logical_not(trace.is_load)
-
-    l1_pass = (
-        _l1_direct_mapped_pass if geometry.assoc == 1 else _l1_set_assoc_pass
-    )
     l1_hit, l1_evict, l1_wb, conflict = l1_pass(
-        blocks, writes, geometry, policy
+        blocks, geometry, policy.mct_tag_bits, writes
     )
     l1_miss = np.logical_not(l1_hit)
     l2_hit_at, l2_evict_at = _l2_pass(blocks, l1_miss, machine.l2)
@@ -600,9 +380,6 @@ def simulate_vector(
         machine.timing,
     )
 
-    ticker = sim_ticker(
-        bench=trace.name, policy=policy.name, refs=n, warmup=warmup
-    )
     tick_every = faults.sim_tick_every()
     heartbeat_every = (
         ticker.every if ticker is not None and ticker.every > 0 else 0
@@ -615,8 +392,6 @@ def simulate_vector(
     # Walk the same boundary schedule as the scalar measured loop so the
     # event stream (and any armed sim_tick fault — kills included) is
     # indistinguishable from a scalar run.
-    if ticker is not None:
-        ticker.begin()
     if heartbeat_every or tick_every:
         for stop, fire, beat in measure_boundaries(
             m, heartbeat_every, tick_every

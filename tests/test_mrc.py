@@ -7,7 +7,7 @@ The contract, from strongest to weakest:
   simulating a fully-associative LRU cache at every probed size;
 * the conflict decomposition reproduces the simulating
   :class:`~repro.core.ground_truth.GroundTruthClassifier`
-  count-for-count, and the shared replay oracle is a drop-in for it in
+  count-for-count, and a shared stack profile is a drop-in for it in
   :func:`~repro.core.accuracy.measure_accuracy`;
 * SHARDS sampling is deterministic from its seed and lands within the
   documented tolerance at the documented operating point (fixed-size
@@ -28,8 +28,6 @@ from repro.core.ground_truth import GroundTruthClassifier
 from repro.mrc import (
     COLD,
     ShardsEstimator,
-    SharedGroundTruth,
-    StackDistanceOracle,
     brute_force_fa_misses,
     compute_mrc,
     compute_profile,
@@ -199,29 +197,34 @@ class TestDecomposition:
 
 
 # ----------------------------------------------------------------------
-# Shared replay oracle == per-configuration GroundTruthClassifier
+# Shared stack profile == per-configuration GroundTruthClassifier
 # ----------------------------------------------------------------------
-class TestSharedOracle:
-    def test_measure_accuracy_identical_with_oracle(self):
+class TestSharedProfile:
+    def test_measure_accuracy_identical_with_profile(self):
         trace = build("compress", 15_000, seed=0)
         geometry = CacheGeometry(size=16 * 1024, assoc=2, line_size=LINE)
-        shared = SharedGroundTruth(trace.addresses, LINE)
+        profile = compute_profile(trace.addresses, LINE)
 
         baseline = measure_accuracy(trace.addresses, geometry)
-        replayed = measure_accuracy(
-            trace.addresses,
-            geometry,
-            oracle=shared.oracle(geometry.size // LINE),
-        )
-        assert replayed == baseline
+        shared = measure_accuracy(trace.addresses, geometry, profile=profile)
+        assert shared == baseline
+        # One profile serves every capacity: the 64KB cell reuses it.
+        wide = CacheGeometry(size=64 * 1024, assoc=1, line_size=LINE)
+        assert measure_accuracy(
+            trace.addresses, wide, profile=profile
+        ) == measure_accuracy(trace.addresses, wide)
 
-    def test_oracle_refuses_overrun(self):
-        oracle = StackDistanceOracle(
-            compute_profile(addresses_from_blocks([1]), LINE), 4
-        )
-        oracle.observe(LINE)
-        with pytest.raises(IndexError):
-            oracle.classify_miss(LINE)
+    def test_profile_refuses_mismatched_stream(self):
+        geometry = CacheGeometry(size=1024, assoc=1, line_size=LINE)
+        addrs = addresses_from_blocks([1, 2, 1])
+        with pytest.raises(ValueError, match="does not describe"):
+            measure_accuracy(
+                addrs, geometry, profile=compute_profile(addrs[:2], LINE)
+            )
+        with pytest.raises(ValueError, match="does not describe"):
+            measure_accuracy(
+                addrs, geometry, profile=compute_profile(addrs, LINE // 2)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.mct import MissClassificationTable
@@ -149,13 +151,21 @@ class TestPipeline:
         assert pipeline.conflict_misses == conflicts
         assert pipeline.capacity_misses == misses - conflicts
 
-    def test_chunked_feed_equals_one_shot(self):
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(min_value=0, max_value=6000), max_size=8),
+        tag_bits=st.sampled_from([1, 3, 8, None]),
+    )
+    def test_chunked_feed_equals_one_shot(self, cuts, tag_bits):
         addrs = [int(a) for a in build("tomcatv", 6000, seed=1).addresses]
-        one = TenantPipeline(cache_kb=16, max_blocks=128, seed=5)
+        one = TenantPipeline(cache_kb=16, max_blocks=128, seed=5, tag_bits=tag_bits)
         one.feed(addrs)
-        chunked = TenantPipeline(cache_kb=16, max_blocks=128, seed=5)
-        for start in range(0, len(addrs), 613):
-            chunked.feed(addrs[start : start + 613])
+        chunked = TenantPipeline(
+            cache_kb=16, max_blocks=128, seed=5, tag_bits=tag_bits
+        )
+        bounds = [0, *sorted(cuts), len(addrs)]
+        for start, stop in zip(bounds, bounds[1:]):
+            chunked.feed(addrs[start:stop])
         assert chunked.snapshot() == one.snapshot()
         assert chunked.mrc() == one.mrc()
 
@@ -309,6 +319,11 @@ class TestServer:
             bad_geo = await _rpc(r2, w2, {"op": "open", "cache_kb": 3})
             assert not bad_geo["ok"]
             w2.close()
+            # A stored-tag width below one bit is refused the same way.
+            r3, w3 = await _client(server.config.socket_path)
+            bad_bits = await _rpc(r3, w3, {"op": "open", "tag_bits": 0})
+            assert not bad_bits["ok"] and "tag_bits" in bad_bits["error"]
+            w3.close()
             w.close()
             await server.stop()
 
@@ -324,6 +339,23 @@ class TestServer:
             assert not reply["ok"] and "max_batch_refs" in reply["error"]
             w.close()
             await server.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "addrs", [[1.5], [True], ["7"], [-1], [2**64], [None], [64, [1]]]
+    )
+    def test_malformed_addresses_answered_not_fatal(self, tmp_path, addrs):
+        async def scenario():
+            server = ConflictServer(self._config(tmp_path))
+            await server.start()
+            r, w = await _client(server.config.socket_path)
+            await _rpc(r, w, {"op": "open", "tenant": "t"})
+            reply = await _rpc(r, w, {"op": "batch", "addrs": addrs})
+            assert not reply["ok"] and "addrs" in reply["error"]
+            w.close()
+            await server.stop()
+            assert server.refs_total == 0
 
         run(scenario())
 

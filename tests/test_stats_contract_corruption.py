@@ -39,6 +39,14 @@ def counter_write_lines() -> List[int]:
     return [i for i, line in enumerate(lines) if _WRITE_RE.match(line)]
 
 
+def counter_write_id(lineno: int) -> str:
+    """``receiver.field`` of a write: a test id that survives edits
+    elsewhere in the file, unlike its line number."""
+    match = _WRITE_RE.match((REPO / VECTOR).read_text().splitlines()[lineno])
+    assert match is not None
+    return f"{match.group(2)}.{match.group(3)}"
+
+
 def run_mirror(tmp_path: Path, vector_text: Optional[str] = None):
     paths = []
     for rel in MIRRORED:
@@ -65,7 +73,7 @@ def test_unmutated_mirror_is_clean(tmp_path):
     assert run_mirror(tmp_path) == []
 
 
-@pytest.mark.parametrize("lineno", counter_write_lines())
+@pytest.mark.parametrize("lineno", counter_write_lines(), ids=counter_write_id)
 def test_dropping_any_counter_write_fires_rpr070(tmp_path, lineno):
     lines = (REPO / VECTOR).read_text().splitlines(keepends=True)
     mutated = _WRITE_RE.sub(r"\1\2.\3_dropped = ", lines[lineno])

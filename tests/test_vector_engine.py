@@ -140,23 +140,22 @@ class TestByteIdentity:
         assert canon(vector) == canon(scalar)
 
     def test_general_pass_subsumes_direct_mapped(self):
-        # At assoc == 1 the deaths-FIFO pass and the shift-compare fast
-        # path must produce identical flag arrays — the dispatch choice
-        # between them is purely a performance decision.
+        # At assoc == 1 the kernel's deaths-FIFO pass and its
+        # shift-compare fast path must produce identical flag arrays —
+        # the dispatch choice between them is purely a performance
+        # decision.
         import numpy as np
 
-        from repro.system.vector import (
-            _l1_direct_mapped_pass,
-            _l1_set_assoc_pass,
-        )
+        from repro.core.kernel import direct_mapped_pass, set_assoc_pass
 
         trace = build("gcc", 5_000, 1)
         blocks = trace.addresses >> PAPER_MACHINE.l1.offset_bits
         writes = np.logical_not(trace.is_load)
-        dm = _l1_direct_mapped_pass(blocks, writes, PAPER_MACHINE.l1, BASELINE)
-        general = _l1_set_assoc_pass(blocks, writes, PAPER_MACHINE.l1, BASELINE)
-        for name, a, b in zip(("hit", "evict", "wb", "conflict"), dm, general):
-            assert np.array_equal(a, b), name
+        for tag_bits in (None, 3):
+            dm = direct_mapped_pass(blocks, PAPER_MACHINE.l1, tag_bits, writes)
+            general = set_assoc_pass(blocks, PAPER_MACHINE.l1, tag_bits, writes)
+            for name, a, b in zip(dm._fields, dm, general):
+                assert np.array_equal(a, b), (name, tag_bits)
 
 
 class TestEngineDispatch:
@@ -319,6 +318,28 @@ class TestInstrumentedCampaign:
         assert validate_main([str(path), "--reconcile"]) == 0
         events, _ = validate_lines(path.read_text().splitlines())
         assert reconcile_events(events) == (1, [])
+
+    def test_wall_time_covers_the_passes(self, tmp_path):
+        # sim_end.wall_s must time the simulation, not just the emission
+        # walk after the passes: the ticker starts before the L1 pass.
+        import time
+
+        path = tmp_path / "events_wall.jsonl"
+        trace = build("tomcatv", 200_000, 3)
+        obs_events.activate(
+            ObsConfig(events_path=str(path), heartbeat_every=50_000),
+            cell="vector-wall",
+        )
+        try:
+            start = time.perf_counter()
+            simulate(trace, BASELINE, warmup=1_000, engine="vector")
+            elapsed = time.perf_counter() - start
+        finally:
+            obs_events.deactivate()
+        events, problems = validate_lines(path.read_text().splitlines())
+        assert problems == []
+        (end,) = [e for e in events if e["type"] == "sim_end"]
+        assert end["wall_s"] >= 0.5 * elapsed
 
     def test_heartbeat_cadence_preserved(self, tmp_path):
         path, _ = self._run(tmp_path, "vector", heartbeat_every=700)
