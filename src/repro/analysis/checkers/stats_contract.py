@@ -45,11 +45,15 @@ from repro.analysis.dataflow import (
 )
 
 #: SystemStats paths the scalar engine writes that the vector engine is
-#: *documented* not to: the vector engine only runs bufferless cells
-#: (``buffer.*``) and models the L2 tag-only, so it can never hold a
-#: dirty line (``l2.writebacks`` is structurally zero in both engines).
-EXEMPT_PREFIXES: Tuple[str, ...] = ("buffer.",)
-EXEMPT_PATHS: FrozenSet[str] = frozenset({"l2.writebacks"})
+#: *documented* not to: the vector engine runs no prefetching or
+#: exclusion policy (``buffer.prefetch*``, ``buffer.exclusion_hits``)
+#: and models the L2 tag-only, so it can never hold a dirty line
+#: (``l2.writebacks`` is structurally zero in both engines).  Every
+#: other buffer counter is written by its swap-always victim-cache path.
+EXEMPT_PREFIXES: Tuple[str, ...] = ("buffer.prefetch",)
+EXEMPT_PATHS: FrozenSet[str] = frozenset(
+    {"l2.writebacks", "buffer.exclusion_hits"}
+)
 
 #: The cadence names both engines must derive the same way.
 CADENCE_NAMES: Tuple[str, ...] = ("heartbeat_every", "tick_every")

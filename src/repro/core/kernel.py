@@ -36,11 +36,18 @@ a live resident older than the oldest pending death would itself have
 to be evicted, hence dead.  At ``assoc == 1`` this equals the
 direct-mapped pass flag for flag (pinned by a test); the shift-compare
 pass stays the dispatch choice there because it needs no stack pass.
+
+On request (``victim_fills=True``) either pass also reports, at every
+evicting miss, the trace position of the fill that installed its victim:
+the set's previous miss on a direct-mapped L1, the fill anchor of the
+deaths-FIFO victim's residency otherwise.  A hybrid engine that replays
+only the miss stream through an assist buffer reads each victim's
+conflict and dirty bits off that fill.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,12 +56,18 @@ from repro.mrc.stack import set_lru_flags
 
 
 class L1Flags(NamedTuple):
-    """Trace-order per-reference flags of one L1 pass."""
+    """Trace-order per-reference flags of one L1 pass.
+
+    ``victim_fill`` is set only when the pass was asked for it: int64,
+    the trace position of the victim's fill at each evicting miss and
+    ``-1`` everywhere else.
+    """
 
     hit: "np.ndarray"
     evict: "np.ndarray"
     writeback: "np.ndarray"
     conflict: "np.ndarray"
+    victim_fill: "Optional[np.ndarray]" = None
 
 
 def check_tag_bits(tag_bits: Optional[int]) -> None:
@@ -101,12 +114,33 @@ def _partition(
     return order, blocks[order], s, seg_start
 
 
-def _trace_order(order: "np.ndarray", *flags: "np.ndarray") -> L1Flags:
-    """Scatter the set-sorted (hit, evict, writeback, conflict) back."""
+#: Set-sorted (evicting positions, their victims' fill positions).
+_VictimFills = Tuple["np.ndarray", "np.ndarray"]
+
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.flags.writeable = False
+_NO_VICTIMS: _VictimFills = (_NONE, _NONE)
+
+
+def _trace_order(
+    order: "np.ndarray",
+    hit: "np.ndarray",
+    evict: "np.ndarray",
+    writeback: "np.ndarray",
+    conflict: "np.ndarray",
+    victim_fills: "Optional[_VictimFills]",
+) -> L1Flags:
+    """Scatter the set-sorted flags back, and the set-sorted victim fill
+    pairs into a trace-order ``victim_fill`` array."""
     out = np.empty((4, len(order)), dtype=bool)
-    for row, sorted_flags in zip(out, flags):
+    for row, sorted_flags in zip(out, (hit, evict, writeback, conflict)):
         row[order] = sorted_flags
-    return L1Flags(out[0], out[1], out[2], out[3])
+    fill_at = None
+    if victim_fills is not None:
+        evicting, filled = victim_fills
+        fill_at = np.full(len(order), -1, dtype=np.int64)
+        fill_at[order[evicting]] = order[filled]
+    return L1Flags(out[0], out[1], out[2], out[3], fill_at)
 
 
 def l1_pass(
@@ -114,14 +148,21 @@ def l1_pass(
     geometry: CacheGeometry,
     tag_bits: Optional[int] = None,
     writes: "Optional[np.ndarray]" = None,
+    *,
+    victim_fills: bool = False,
 ) -> L1Flags:
     """The kernel for any LRU geometry over int64 ``blocks``.
 
     ``writes`` flags the stores; without it no writeback is flagged.
+    ``victim_fills`` asks for :attr:`L1Flags.victim_fill`.
     """
     if geometry.assoc == 1:
-        return direct_mapped_pass(blocks, geometry, tag_bits, writes)
-    return set_assoc_pass(blocks, geometry, tag_bits, writes)
+        return direct_mapped_pass(
+            blocks, geometry, tag_bits, writes, victim_fills=victim_fills
+        )
+    return set_assoc_pass(
+        blocks, geometry, tag_bits, writes, victim_fills=victim_fills
+    )
 
 
 def direct_mapped_pass(
@@ -132,12 +173,14 @@ def direct_mapped_pass(
     *,
     resident: "Optional[np.ndarray]" = None,
     stored: "Optional[np.ndarray]" = None,
+    victim_fills: bool = False,
 ) -> L1Flags:
     """The direct-mapped pass, resumable through ``resident``/``stored``.
 
     Both are per-set int64 arrays (``-1`` = invalid), updated in place
     to the state after the last reference.  The carried state holds no
-    dirty bits, so ``writes`` needs one-shot feeding.
+    dirty bits or fill positions, so ``writes`` and ``victim_fills``
+    need one-shot feeding.
     """
     check_tag_bits(tag_bits)
     if resident is None or stored is None:
@@ -145,8 +188,8 @@ def direct_mapped_pass(
             raise ValueError("resident and stored state come together")
         resident = np.full(geometry.num_sets, -1, dtype=np.int64)
         stored = np.full(geometry.num_sets, -1, dtype=np.int64)
-    elif writes is not None:
-        raise ValueError("writebacks need one-shot feeding")
+    elif writes is not None or victim_fills:
+        raise ValueError("writebacks and victim fills need one-shot feeding")
     n = int(len(blocks))
     order, b, s, seg_start = _partition(blocks, geometry)
 
@@ -162,13 +205,21 @@ def direct_mapped_pass(
     # previous miss f of the segment, and [f, i-1] all touch it, so it
     # is dirty iff any write flag in [f, i-1] is set.
     wb_s = np.zeros(n, dtype=bool)
-    if writes is not None and n > 1:
-        w64 = writes[order].astype(np.int64)
-        wcum = np.cumsum(w64)
+    fill_s = _NO_VICTIMS if victim_fills else None
+    if (writes is not None or victim_fills) and n > 1:
         positions = np.arange(n, dtype=np.int64)
         fills = np.maximum.accumulate(np.where(miss_s, positions, -1))[:-1]
-        wb_s[1:] = (wcum[:-1] - wcum[fills] + w64[fills]) > 0
-        wb_s &= evict_s
+        del positions
+        if writes is not None:
+            w64 = writes[order].astype(np.int64)
+            wcum = np.cumsum(w64)
+            wb_s[1:] = (wcum[:-1] - wcum[fills] + w64[fills]) > 0
+            wb_s &= evict_s
+            del w64, wcum
+        if victim_fills:
+            evicting = np.flatnonzero(evict_s)
+            fill_s = (evicting, fills[evicting - 1])
+        del fills
 
     # A set's misses are contiguous in the miss subsequence, so the
     # chain entry two fills back is a shifted read, patched at each
@@ -200,8 +251,9 @@ def direct_mapped_pass(
     seg_end = np.ones(n, dtype=bool)
     seg_end[:-1] = seg_start[1:]
     resident[s[seg_end]] = b[seg_end]
+    del miss_pos, tags, msets, entry, victim, b, s
 
-    return _trace_order(order, hit_s, evict_s, wb_s, conflict_s)
+    return _trace_order(order, hit_s, evict_s, wb_s, conflict_s, fill_s)
 
 
 def set_assoc_pass(
@@ -209,6 +261,8 @@ def set_assoc_pass(
     geometry: CacheGeometry,
     tag_bits: Optional[int] = None,
     writes: "Optional[np.ndarray]" = None,
+    *,
+    victim_fills: bool = False,
 ) -> L1Flags:
     """The set-associative pass: set-LRU flags plus deaths-FIFO victims."""
     check_tag_bits(tag_bits)
@@ -232,6 +286,7 @@ def set_assoc_pass(
 
     wb_s = np.zeros(n, dtype=bool)
     conflict_s = np.zeros(n, dtype=bool)
+    fill_s = _NO_VICTIMS if victim_fills else None
     evict_pos = np.flatnonzero(evict_s)
     if len(evict_pos):
         starts = np.flatnonzero(seg_start)
@@ -245,18 +300,27 @@ def set_assoc_pass(
         victim_pos = np.flatnonzero(dead)[deaths_before + rank]
         del first, rank, deaths_before, dead
 
-        if writes is not None:
-            # Dirty ⇔ a write between the residency's fill and its death.
-            # Every run opens with a cold miss, so the fill anchor never
-            # leaks across a run boundary.
-            w_run = writes[order[run_order]].astype(np.int64)
-            wcum_run = np.cumsum(w_run)
+        if writes is not None or victim_fills:
+            # Every run opens with a cold miss, so the fill anchor of a
+            # residency never leaks across a run boundary.
             anchor = np.maximum.accumulate(
                 np.where(miss_s[run_order], np.arange(n, dtype=np.int64), -1)
             )
+        if writes is not None:
+            # Dirty ⇔ a write between the residency's fill and its death.
+            w_run = writes[order[run_order]].astype(np.int64)
+            wcum_run = np.cumsum(w_run)
             dirty_at = np.empty(n, dtype=bool)
             dirty_at[run_order] = (wcum_run - wcum_run[anchor] + w_run[anchor]) > 0
+            del w_run, wcum_run
             wb_s[evict_pos] = dirty_at[victim_pos]
+            del dirty_at
+        if victim_fills:
+            fill_of = np.empty(n, dtype=np.int64)
+            fill_of[run_order] = run_order[anchor]
+            del anchor
+            fill_s = (evict_pos, fill_of[victim_pos])
+            del fill_of
 
         # A miss's MCT entry is the victim tag of the segment's latest
         # earlier eviction — global eviction number evict_before[i],
@@ -270,5 +334,7 @@ def set_assoc_pass(
         match = np.zeros(len(miss_pos), dtype=bool)
         match[has_entry] = victim_tags[prior[has_entry] - 1] == probe_tags[has_entry]
         conflict_s[miss_pos[match]] = True
+        del victim_tags, miss_pos, probe_tags, prior, first, evict_before
+    del run_order, b
 
-    return _trace_order(order, hit_s, evict_s, wb_s, conflict_s)
+    return _trace_order(order, hit_s, evict_s, wb_s, conflict_s, fill_s)

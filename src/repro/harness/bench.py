@@ -4,10 +4,11 @@ Measures the numbers every scaling PR must not regress:
 
 * **single-cell throughput** — references simulated per second by one
   :func:`repro.system.simulator.simulate` call (the per-reference hot
-  loop, free of harness overhead), measured twice: on the paper's
-  direct-mapped L1 and on a 2-way L1 (the general set-associative
-  vector pass), each alongside the pinned scalar reference so the
-  artifact carries both ``engine_speedup`` figures;
+  loop, free of harness overhead), measured three times: on the paper's
+  direct-mapped L1, on a 2-way L1 (the general set-associative vector
+  pass), and with the paper's 8-entry victim cache on the direct-mapped
+  L1 (the hybrid buffered engine), each alongside the pinned scalar
+  reference so the artifact carries every ``engine_speedup`` figure;
 * **MRC throughput** — the single-pass stack-distance engine against
   the brute-force per-size FA sweep it replaced: both must agree
   exactly, and the artifact records the speedup (the subsystem's
@@ -59,8 +60,9 @@ from repro.harness.durable import atomic_write_text
 from repro.harness.executor import HarnessConfig, run_cells
 from repro.mrc.curve import brute_force_fa_misses, compute_mrc, default_size_ladder
 from repro.obs.spans import NULL_TRACER, Tracer
+from repro.buffers.victim import traditional
 from repro.system.config import MachineConfig, PAPER_MACHINE
-from repro.system.policies import BASELINE
+from repro.system.policies import AssistConfig, BASELINE
 from repro.system.simulator import simulate, validate_engine_env
 from repro.workloads.spec_analogs import build
 
@@ -93,13 +95,15 @@ def measure_single_cell(
     tracer: Tracer = NULL_TRACER,
     engine: str = "auto",
     machine: MachineConfig = PAPER_MACHINE,
+    policy: AssistConfig = BASELINE,
 ) -> Dict[str, object]:
     """Time one trace through one policy; report the best of ``repeats``.
 
     The best (not mean) run is the right summary for a regression gate:
     scheduling noise only ever slows a run down, so the fastest repeat is
     the closest estimate of the code's true cost.  ``engine`` selects the
-    simulation engine (the probe policy is bufferless, so ``"auto"``
+    simulation engine (both probe policies, the bufferless baseline and
+    the swap-always victim cache, are vector-eligible, so ``"auto"``
     resolves to the vector engine on any ``machine``).
     """
     trace = build(SINGLE_CELL_BENCH, refs, seed)
@@ -107,13 +111,13 @@ def measure_single_cell(
     for repeat in range(1, repeats + 1):
         with tracer.span("bench.iteration", repeat=repeat, engine=engine) as span:
             started = time.perf_counter()
-            simulate(trace, BASELINE, machine, warmup=warmup, engine=engine)
+            simulate(trace, policy, machine, warmup=warmup, engine=engine)
             elapsed = time.perf_counter() - started
             span.set(seconds=round(elapsed, 4))
         best = min(best, elapsed)
     return {
         "bench": SINGLE_CELL_BENCH,
-        "policy": BASELINE.name,
+        "policy": policy.name,
         "engine": engine,
         "l1_assoc": machine.l1.assoc,
         "refs": refs,
@@ -125,7 +129,11 @@ def measure_single_cell(
 
 
 def engines_identical(
-    refs: int, warmup: int, seed: int, machine: MachineConfig = PAPER_MACHINE
+    refs: int,
+    warmup: int,
+    seed: int,
+    machine: MachineConfig = PAPER_MACHINE,
+    policy: AssistConfig = BASELINE,
 ) -> bool:
     """One run per engine over the probe trace: must agree to the byte.
 
@@ -134,8 +142,8 @@ def engines_identical(
     throughput number can never come from an engine that drifted.
     """
     trace = build(SINGLE_CELL_BENCH, refs, seed)
-    scalar = simulate(trace, BASELINE, machine, warmup=warmup, engine="scalar")
-    vector = simulate(trace, BASELINE, machine, warmup=warmup, engine="vector")
+    scalar = simulate(trace, policy, machine, warmup=warmup, engine="scalar")
+    vector = simulate(trace, policy, machine, warmup=warmup, engine="vector")
     return json.dumps(scalar.as_dict(), sort_keys=True) == json.dumps(
         vector.as_dict(), sort_keys=True
     )
@@ -336,18 +344,19 @@ def check_regression(
             f"{floor:.0f} (baseline {baseline['single_cell']['refs_per_sec']} "
             f"- {max_regression:.0%} allowance)"
         )
-    if "single_cell_assoc" in baseline and "single_cell_assoc" in payload:
-        assoc_floor = float(
-            baseline["single_cell_assoc"]["refs_per_sec"]
-        ) * (1.0 - max_regression)
-        assoc_measured = float(
-            payload["single_cell_assoc"]["refs_per_sec"]  # type: ignore[index]
-        )
-        if assoc_measured < assoc_floor:
+    for cell, label in (
+        ("single_cell_assoc", "associative-L1"),
+        ("single_cell_victim", "victim-cache"),
+    ):
+        if cell not in baseline or cell not in payload:
+            continue
+        cell_floor = float(baseline[cell]["refs_per_sec"]) * (1.0 - max_regression)
+        cell_measured = float(payload[cell]["refs_per_sec"])  # type: ignore[index]
+        if cell_measured < cell_floor:
             return (
-                f"associative-L1 throughput regressed: {assoc_measured:.0f} "
-                f"refs/sec < {assoc_floor:.0f} (baseline "
-                f"{baseline['single_cell_assoc']['refs_per_sec']} "
+                f"{label} throughput regressed: {cell_measured:.0f} "
+                f"refs/sec < {cell_floor:.0f} (baseline "
+                f"{baseline[cell]['refs_per_sec']} "
                 f"- {max_regression:.0%} allowance)"
             )
     if "mrc" in baseline and "mrc" in payload:
@@ -514,6 +523,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "engines_identical_assoc": engines_identical(
             args.refs, args.warmup, args.seed, machine=assoc_probe_machine()
         ),
+        "single_cell_victim": measure_single_cell(
+            args.refs, args.warmup, args.seed, tracer=tracer,
+            engine=args.engine, policy=traditional(),
+        ),
+        "single_cell_victim_scalar": measure_single_cell(
+            args.refs, args.warmup, args.seed, tracer=tracer,
+            engine="scalar", policy=traditional(),
+        ),
+        "engines_identical_victim": engines_identical(
+            args.refs, args.warmup, args.seed, policy=traditional()
+        ),
         "mrc": measure_mrc(args.refs, args.seed, tracer=tracer),
     }
     scalar_cell = payload["single_cell_scalar"]
@@ -526,6 +546,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload["engine_speedup_assoc"] = round(
         float(payload["single_cell_assoc"]["refs_per_sec"])  # type: ignore[index]
         / float(assoc_scalar_cell["refs_per_sec"]),  # type: ignore[index]
+        2,
+    )
+    victim_scalar_cell = payload["single_cell_victim_scalar"]
+    payload["engine_speedup_victim"] = round(
+        float(payload["single_cell_victim"]["refs_per_sec"])  # type: ignore[index]
+        / float(victim_scalar_cell["refs_per_sec"]),  # type: ignore[index]
         2,
     )
     if not args.skip_serve:
@@ -577,6 +603,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             "[bench] ERROR: vector engine disagrees with the scalar "
             f"reference on the {ASSOC_PROBE_WAYS}-way L1 probe",
+            file=sys.stderr,
+        )
+        return 1
+    victim_cell = payload["single_cell_victim"]
+    print(
+        f"[bench] single-cell ({victim_cell['policy']}, "  # type: ignore[index]
+        f"{victim_cell['engine']}): "  # type: ignore[index]
+        f"{victim_cell['refs_per_sec']} refs/sec vs "  # type: ignore[index]
+        f"{victim_scalar_cell['refs_per_sec']} scalar "  # type: ignore[index]
+        f"— engine speedup {payload['engine_speedup_victim']}x, "
+        f"identical stats: {payload['engines_identical_victim']}"
+    )
+    if not payload["engines_identical_victim"]:
+        print(
+            "[bench] ERROR: vector engine disagrees with the scalar "
+            "reference on the victim-cache probe",
             file=sys.stderr,
         )
         return 1

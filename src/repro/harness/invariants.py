@@ -151,8 +151,10 @@ def check_system_stats(
 
     ``coupled`` asserts the cross-object laws that hold for stats produced
     by one :class:`~repro.system.memory_system.MemorySystem` run (every L1
-    access steps the clock; every L1 miss is classified exactly once).
-    Pass ``coupled=False`` for merged or synthetic stats where only the
+    access steps the clock; every L1 miss is classified exactly once;
+    every L1 miss probes the buffer, if there is one; the L2 sees exactly
+    the misses the buffer did not serve, plus the prefetches).  Pass
+    ``coupled=False`` for merged or synthetic stats where only the
     per-object laws apply.
     """
     check_cache_stats(stats.l1, f"{context}.l1")
@@ -174,6 +176,16 @@ def check_system_stats(
     if stats.timing.memory_refs != stats.l1.accesses:
         _fail(context, f"timing saw {stats.timing.memory_refs} references but "
               f"the L1 saw {stats.l1.accesses}", stats)
+    buffer = stats.buffer
+    if buffer.probes not in (0, stats.l1.misses):
+        _fail(context, f"buffer probes ({buffer.probes}) are neither 0 nor "
+              f"the L1 misses ({stats.l1.misses}) — every L1 miss probes "
+              "the buffer, if there is one", stats)
+    l2_requests = stats.l1.misses - buffer.hits + buffer.prefetches_issued
+    if stats.l2.accesses != l2_requests:
+        _fail(context, f"L2 accesses ({stats.l2.accesses}) != L1 misses - "
+              f"buffer hits + prefetches issued ({l2_requests}) — a buffer "
+              "hit never reaches the L2", stats)
 
 
 def check_accuracy_result(result: "object", context: str = "accuracy") -> None:

@@ -8,7 +8,7 @@ Two engines produce byte-identical statistics:
   live :class:`~repro.system.memory_system.MemorySystem`.
 * ``vector`` — the set-partitioned numpy engine
   (:mod:`repro.system.vector`), an order of magnitude faster for the
-  bufferless policies it supports.
+  policies it supports: bufferless ones and swap-always victim caches.
 
 ``engine="auto"`` (the default) picks the vector engine whenever the
 run is eligible and can be overridden per process with the
@@ -86,9 +86,11 @@ def simulate(
     reference per-reference loop, ``"vector"`` *demands* the
     set-partitioned engine, and ``"auto"`` (the default, further
     overridable via :data:`ENGINE_ENV_VAR`) uses the vector engine when
-    the run is eligible.  For an ineligible cell (assist buffer — see
-    :func:`repro.system.vector.vector_ineligibility`) ``"auto"`` falls
-    back to the scalar engine, recording an ``engine_fallback`` event
+    the run is eligible: no assist buffer, or a victim cache whose every
+    hit swaps back into L1.  For an ineligible cell (an assist buffer
+    that changes L1 residency: no-swap victim hits, prefetch or
+    exclusion — see :func:`repro.system.vector.vector_ineligibility`)
+    ``"auto"`` falls back to the scalar engine, recording an ``engine_fallback`` event
     with the reason when metrics are active, while ``"vector"`` raises
     the reason — a demand that cannot be honoured must not silently
     time the wrong engine.  The engines are byte-identical, so auto's

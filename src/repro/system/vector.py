@@ -12,10 +12,15 @@ through *timing* (bus, MSHRs, the retirement window).
 The engine is exact, not approximate: for every eligible run its
 :class:`~repro.cache.stats.SystemStats` is byte-identical to the scalar
 engine's (``as_dict()`` compares equal, and serialises to the same JSON
-bytes).  Eligibility is the bufferless hierarchy — see
-:func:`vector_supported`; buffered policies keep cross-set
-fully-associative state and stay on the scalar reference engine.  Any
-power-of-two L1 associativity is eligible.
+bytes).  Eligibility (see :func:`vector_ineligibility`) is any
+power-of-two L1 associativity with either no assist buffer or a
+*swap-always victim cache*: victim fills, optionally filtered, where
+every buffer hit swaps back into L1.  Such a buffer never changes L1
+residency — a swap installs the missed line and evicts the LRU line
+exactly as a fill from L2 would — so L1 hits, evictions and MCT labels
+are those of the bufferless pass.  Policies that serve hits without a
+swap, prefetch, or bypass L1 perturb residency and stay on the scalar
+reference engine.
 
 Pass structure
 --------------
@@ -24,20 +29,32 @@ Pass structure
    (:func:`repro.core.kernel.l1_pass`): trace-order hit, eviction,
    writeback and MCT-conflict flags over the full trace (warmup
    included — the caches and MCT warm up exactly as in the scalar
-   engine; the measured window is sliced afterwards).
+   engine; the measured window is sliced afterwards).  A buffered run
+   also asks for each victim's fill position.
 
-2. **L2** — the L1 miss stream, stably sorted by L2 set index, priced
-   with the exact Mattson stack distances of :mod:`repro.mrc.stack`
-   (set-LRU of associativity A hits ⇔ stack distance ≤ A).
+2. **Assist buffer** (buffered runs only) — a Python loop over the L1
+   misses alone, in trace order, drives a real
+   :class:`~repro.buffers.assist.AssistBuffer`: a probe hit swaps, a
+   probe miss may victim-fill.  Each line's conflict bit is its MCT
+   label when filled from L2 or the bit it carried when filled by a
+   swap; a victim is dirty if the kernel saw a write during its
+   residency or it carried a dirty bit in.  Buffer contents carry
+   across warmup like the caches'.
 
-3. **Timing replay** — the cross-set sequence (bus, MSHRs, ROB window)
-   is inherently serial in trace order, so it is replayed in
-   trace order over the *measured* window only — but only misses take
-   the slow path; hit runs with an empty pipeline fast-forward through
-   one ``np.add.accumulate`` (sequential by definition, so the float
-   result is bit-identical to repeated ``+=``).
+3. **L2** — the full-miss stream (L1 misses the buffer did not serve),
+   stably sorted by L2 set index, priced with the exact Mattson stack
+   distances of :mod:`repro.mrc.stack` (set-LRU of associativity A hits
+   ⇔ stack distance ≤ A).
 
-4. **Emission** — heartbeats and ``sim_tick`` fault-site hits are
+4. **Timing replay** — the cross-set sequence (bus, MSHRs, bank and
+   buffer ports, ROB window) is inherently serial in trace order, so it
+   is replayed in trace order over the *measured* window only — but
+   only misses take the slow path; hit runs with an empty pipeline
+   fast-forward through one ``np.add.accumulate`` (sequential by
+   definition, so the float result is bit-identical to repeated
+   ``+=``).
+
+5. **Emission** — heartbeats and ``sim_tick`` fault-site hits are
    walked over the same boundary schedule the scalar measured loop
    uses (:func:`repro.system.simulator.measure_boundaries`), with
    counter snapshots read off prefix sums, so ``events.jsonl`` carries
@@ -48,12 +65,14 @@ Pass structure
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import faults
+from repro.buffers.assist import AssistBuffer, BufferEntry
 from repro.cache.geometry import CacheGeometry
+from repro.cache.line import BufferRole
 from repro.cache.stats import SystemStats, TimingStats
 from repro.core.kernel import l1_pass
 from repro.mrc.stack import set_lru_flags
@@ -69,63 +88,228 @@ def vector_ineligibility(
 ) -> Optional[str]:
     """Why this cell cannot run on the vector engine, or ``None``.
 
-    The one remaining disqualifier is an assist buffer: it is fully
-    associative *across* sets (probes, swaps, bypasses and prefetches
-    couple the sets together), so its per-reference state is inherently
-    sequential.  The returned reason names the enabled buffer features,
-    so a caller that *demanded* the vector engine learns which knob to
-    blame rather than a generic refusal.  Cache geometry never
-    disqualifies: :class:`~repro.cache.geometry.CacheGeometry` already
-    enforces power-of-two sizes and associativity at construction, and
-    any power-of-two L1 associativity is vectorised
+    The engine runs every policy whose assist buffer never changes L1
+    residency: no buffer at all, or victim fills (with or without a
+    fill filter) where every buffer hit swaps back into L1.  A buffer
+    that serves hits without a swap (``victim_swap=False`` or a no-swap
+    filter), prefetches into the buffer, or bypasses L1 decides per
+    reference what L1 holds, so its fully-associative cross-set state
+    must be replayed by the scalar engine.  The returned reason names
+    each such feature, so a caller that *demanded* the vector engine
+    learns which knob to blame rather than a generic refusal.  Cache
+    geometry never disqualifies:
+    :class:`~repro.cache.geometry.CacheGeometry` already enforces
+    power-of-two sizes and associativity at construction, and any
+    power-of-two L1 associativity is vectorised
     (:func:`repro.core.kernel.l1_pass`).
     """
-    if policy.buffer_entries > 0:
-        features = []
-        if policy.victim_fills:
-            features.append("victim fills")
-        if policy.prefetch:
-            features.append("next-line prefetch")
-        if policy.exclusion is not None:
-            features.append(f"{policy.exclusion} exclusion")
-        detail = " + ".join(features) if features else "a raw assist buffer"
-        return (
-            f"policy {policy.name!r} drives {detail} through its "
-            f"{policy.buffer_entries}-entry assist buffer, whose "
-            "fully-associative cross-set state must be replayed "
-            "per reference"
-        )
-    return None
+    if not policy.uses_buffer:
+        return None
+    features = []
+    if policy.victim_fills and not policy.victim_swap:
+        features.append("victim hits served without a swap (victim_swap=False)")
+    elif policy.victim_fills and policy.victim_no_swap_filter is not None:
+        features.append(f"an {policy.victim_no_swap_filter.value} no-swap filter")
+    if policy.prefetch:
+        features.append("next-line prefetch")
+    if policy.exclusion is not None:
+        features.append(f"{policy.exclusion.value} exclusion")
+    if not features and not policy.victim_fills:
+        features.append("a raw assist buffer")
+    if not features:
+        return None
+    return (
+        f"policy {policy.name!r} drives {' + '.join(features)} through "
+        f"its {policy.buffer_entries}-entry assist buffer, which changes "
+        "L1 residency, so its fully-associative cross-set state must be "
+        "replayed per reference"
+    )
 
 
 def vector_supported(policy: AssistConfig, machine: MachineConfig) -> bool:
     """True when the set-partitioned engine can reproduce this run exactly.
 
-    The vector engine models the bufferless hierarchy at any
-    power-of-two L1 associativity; buffered policies stay on the scalar
-    reference engine (see :func:`vector_ineligibility` for the reason
-    text).  ``AssistConfig`` validation guarantees a policy with
-    ``buffer_entries == 0`` has no victim/prefetch/exclusion behaviour.
+    See :func:`vector_ineligibility` for the rule and the reason text.
     """
     return vector_ineligibility(policy, machine) is None
 
 
 # ----------------------------------------------------------------------
-# Pass 2: the set-associative L2 over the L1 miss stream
+# Pass 2: the assist buffer over the L1 miss stream (buffered runs)
+# ----------------------------------------------------------------------
+#: What a measured-window L1 miss does in the timing replay
+#: (:func:`_replay_timing`), as :func:`_buffer_stage` encodes it.
+_MISS = 0  # full miss: bus, then MSHR
+_MISS_FILL = 1  # full miss whose L1 victim then fills the buffer
+_SWAP = 2  # _SWAP + b: buffer hit, buffer read, then swap through bank b
+
+
+class _BufferReplay(NamedTuple):
+    """Per-miss outcomes of :func:`_buffer_pass`, in miss order."""
+
+    hit: "np.ndarray"  # the probe hit, and the line swapped into L1
+    fill: "np.ndarray"  # the L1 victim filled the buffer (probe missed)
+    evict: "np.ndarray"  # that fill pushed the buffer's LRU entry out
+    writeback: "np.ndarray"  # the L1 victim was dirty
+
+
+#: Misses converted to Python lists at a time by :func:`_buffer_pass`.
+_CHUNK = 8192
+
+
+def _buffer_pass(
+    policy: AssistConfig,
+    blocks: "np.ndarray",
+    stores: "np.ndarray",
+    conflict: "np.ndarray",
+    victim: "np.ndarray",
+    kernel_wb: "np.ndarray",
+) -> _BufferReplay:
+    """Replay the swap-always victim buffer over the L1 misses.
+
+    Every argument is miss-indexed: the missing block, whether it is a
+    store, its MCT label, the miss index of the fill that installed the
+    line it evicts (``-1`` when it evicts nothing) and the kernel's
+    writeback flag.  Mirrors :meth:`MemorySystem._victim_hit` (swap) and
+    :meth:`MemorySystem._maybe_victim_fill` on the same buffer class.
+    The inputs become Python lists one chunk at a time, so the loop's
+    memory stays near that of the numpy arrays it reads.
+    """
+    k = len(blocks)
+    buffer = AssistBuffer(entries=policy.buffer_entries)
+    peek, remove, insert = buffer.peek, buffer.remove, buffer.insert
+    victim_role = BufferRole.VICTIM
+    filt = policy.victim_fill_filter
+    # allowed[2 * new_is_conflict + evicted_conflict_bit]
+    allowed = [
+        filt is None or filt.matches(new_is_conflict=new, evicted_conflict_bit=old)
+        for new in (False, True)
+        for old in (False, True)
+    ]
+    victim_blocks = blocks[np.maximum(victim, 0)]
+    # Per fill: the line's conflict bit, and a dirty bit it carried in
+    # from the buffer (a swap) that the kernel's write scan cannot see.
+    line_bit = [False] * k
+    carried_dirty = [False] * k
+    hit = bytearray(k)
+    fill = bytearray(k)
+    evict = bytearray(k)
+    writeback = bytearray(k)
+    for c0 in range(0, k, _CHUNK):
+        c1 = min(c0 + _CHUNK, k)
+        chunk_blocks: List[int] = blocks[c0:c1].tolist()
+        chunk_stores: List[bool] = stores[c0:c1].tolist()
+        chunk_conflict: List[bool] = conflict[c0:c1].tolist()
+        chunk_victim: List[int] = victim[c0:c1].tolist()
+        chunk_vblocks: List[int] = victim_blocks[c0:c1].tolist()
+        chunk_wb: List[bool] = kernel_wb[c0:c1].tolist()
+        for c in range(c1 - c0):
+            j = c0 + c
+            v = chunk_victim[c]
+            dirty = False
+            if v >= 0:
+                dirty = chunk_wb[c] or carried_dirty[v]
+                if dirty:
+                    writeback[j] = 1
+            block = chunk_blocks[c]
+            entry = peek(block)
+            if entry is not None:
+                hit[j] = 1
+                if chunk_stores[c]:
+                    entry.dirty = True
+                remove(block)
+                line_bit[j] = entry.conflict_bit
+                carried_dirty[j] = entry.dirty
+                if v >= 0:
+                    insert(
+                        BufferEntry(chunk_vblocks[c], victim_role, line_bit[v], dirty)
+                    )
+            else:
+                new = chunk_conflict[c]
+                line_bit[j] = new
+                if v >= 0 and allowed[2 * new + line_bit[v]]:
+                    fill[j] = 1
+                    if insert(
+                        BufferEntry(chunk_vblocks[c], victim_role, line_bit[v], dirty)
+                    ) is not None:
+                        evict[j] = 1
+    return _BufferReplay(
+        *(np.frombuffer(flags, dtype=np.bool_) for flags in (hit, fill, evict, writeback))
+    )
+
+
+def _buffer_stage(
+    policy: AssistConfig,
+    machine: MachineConfig,
+    blocks: "np.ndarray",
+    writes: "np.ndarray",
+    victim_fill: "np.ndarray",
+    l1_miss: "np.ndarray",
+    conflict: "np.ndarray",
+    l1_wb: "np.ndarray",
+    warmup: int,
+) -> Tuple["np.ndarray", Dict[str, "np.ndarray"], List[int]]:
+    """Run :func:`_buffer_pass` over the kernel's L1 misses.
+
+    Returns the full-miss mask (L1 misses the buffer did not serve), the
+    measured window's buffer-hit/fill/evict and L1-writeback masks, and
+    each window miss's timing event (``_MISS``, ``_MISS_FILL`` or
+    ``_SWAP + bank``).  Only miss-indexed arrays are built: the buffer
+    never sees an L1 hit.
+    """
+    miss_pos = np.flatnonzero(l1_miss)
+    fill_pos = victim_fill[miss_pos]
+    victim = np.where(fill_pos >= 0, np.searchsorted(miss_pos, fill_pos), -1)
+    del fill_pos
+    miss_blocks = blocks[miss_pos]
+    replay = _buffer_pass(
+        policy,
+        miss_blocks,
+        writes[miss_pos],
+        conflict[miss_pos],
+        victim,
+        l1_wb[miss_pos],
+    )
+    del victim
+    full_miss = l1_miss.copy()
+    full_miss[miss_pos[replay.hit]] = False
+    measured = miss_pos >= warmup
+    window_pos = miss_pos[measured] - warmup
+    masks: Dict[str, "np.ndarray"] = {}
+    for name, per_miss in (
+        ("l1_wb", replay.writeback),
+        ("buffer_hit", replay.hit),
+        ("buffer_fill", replay.fill),
+        ("buffer_evict", replay.evict),
+    ):
+        mask = np.zeros(len(l1_miss) - warmup, dtype=bool)
+        mask[window_pos] = per_miss[measured]
+        masks[name] = mask
+    events = replay.fill[measured].astype(np.int64) * _MISS_FILL
+    events[replay.hit[measured]] = _SWAP + (
+        (miss_blocks[replay.hit & measured] & (machine.l1.num_sets - 1))
+        % machine.timing.n_banks
+    )
+    return full_miss, masks, events.tolist()
+
+
+# ----------------------------------------------------------------------
+# Pass 3: the set-associative L2 over the full-miss stream
 # ----------------------------------------------------------------------
 def _l2_pass(
-    blocks: "np.ndarray", l1_miss: "np.ndarray", geometry: CacheGeometry
+    blocks: "np.ndarray", full_miss: "np.ndarray", geometry: CacheGeometry
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Per-reference (L2 hit, L2 eviction) flags, in trace order.
 
-    Both arrays are full-trace sized but only ever True at L1-miss
-    positions (the only references that reach the L2).  The set-LRU
-    algebra lives in :func:`repro.mrc.stack.set_lru_flags`; this
-    wrapper sorts the miss stream by L2 set and scatters the flags back
-    through both permutations (sort order, then miss positions).
+    Both arrays are full-trace sized but only ever True at full-miss
+    positions: the L1 misses the assist buffer did not serve, the only
+    references that reach the L2.  The set-LRU algebra lives in
+    :func:`repro.mrc.stack.set_lru_flags`; this wrapper sorts the miss
+    stream by L2 set and scatters the flags back through both
+    permutations (sort order, then miss positions).
     """
     n = int(len(blocks))
-    stream = np.flatnonzero(l1_miss)
+    stream = np.flatnonzero(full_miss)
     hit_at = np.zeros(n, dtype=bool)
     evict_at = np.zeros(n, dtype=bool)
     k = int(len(stream))
@@ -146,47 +330,55 @@ def _l2_pass(
 
 
 # ----------------------------------------------------------------------
-# Pass 3: cross-set timing replay (measured window only)
+# Pass 4: cross-set timing replay (measured window only)
 # ----------------------------------------------------------------------
 def _replay_timing(
     gaps: "np.ndarray",
     l1_miss: "np.ndarray",
     l2_hit: "np.ndarray",
     config: TimingConfig,
+    events: Optional[List[int]] = None,
 ) -> TimingStats:
     """Replay :class:`~repro.system.timing.TimingModel` over the window.
 
     Bit-identical to driving the scalar model from a freshly reset
     measurement: same issue clock, same bus-then-MSHR acquisition order
-    on misses, same ROB-window stall rule, same FIFO drain at the end.
-    Only misses and references with operations in flight take the
+    on full misses, same bank and buffer-port occupancy on buffer hits,
+    swaps and victim fills, same ROB-window stall rule, same FIFO drain
+    at the end.  ``events`` gives each window miss's ``_MISS`` /
+    ``_MISS_FILL`` / ``_SWAP + bank`` event, in miss order (without it
+    every miss is a plain ``_MISS``).  Only
+    misses and references with operations in flight take the
     per-reference Python path; hit runs over an empty pipeline are
     fast-forwarded with one sequential ``np.add.accumulate`` (whose
-    left-to-right definition reproduces repeated ``+=`` exactly —
-    a plain ``sum`` would not).
+    left-to-right definition reproduces repeated ``+=`` exactly — a
+    plain ``sum`` would not).
     """
     m = int(len(gaps))
     issued = gaps.astype(np.int64) + 1
     incs_arr = issued.astype(np.float64) / config.issue_rate
-    incs: List[float] = incs_arr.tolist()
+    # The clock increment depends only on the issue count, so a table of
+    # the distinct counts' increments stands in for a per-reference
+    # float list.
     issued_list: List[int] = issued.tolist()
+    distinct = np.unique(issued)
+    incs: Dict[int, float] = dict(
+        zip(distinct.tolist(), (distinct.astype(np.float64) / config.issue_rate).tolist())
+    )
     issued_cum = np.concatenate(
         (np.zeros(1, dtype=np.int64), np.cumsum(issued))
     )
-    latency = np.where(
-        l2_hit, float(config.l2_latency), float(config.memory_latency)
-    )
-    latency_list: List[float] = latency.tolist()
-    miss_list: List[bool] = l1_miss.tolist()
-    # next_miss[i]: first miss position >= i (m when none) — lets the
-    # empty-pipeline fast path jump whole hit runs at once.
+    # The miss positions, then m: ``nxt = miss_list[q]`` is always the
+    # first miss at or after ``i``, so the empty-pipeline fast path can
+    # jump a whole hit run at once.  Every list here but the issue
+    # counts is miss-indexed, consumed in order through ``q``.
     miss_idx = np.flatnonzero(l1_miss)
-    next_miss = np.full(m + 1, m, dtype=np.int64)
-    if len(miss_idx):
-        ranks = np.searchsorted(miss_idx, np.arange(m), side="left")
-        found = ranks < len(miss_idx)
-        next_miss[:m][found] = miss_idx[ranks[found]]
-    next_miss_list: List[int] = next_miss.tolist()
+    miss_list: List[int] = miss_idx.tolist()
+    miss_list.append(m)
+    latency_list: List[float] = np.where(
+        l2_hit[miss_idx], float(config.l2_latency), float(config.memory_latency)
+    ).tolist()
+    event_list = events if events is not None else [_MISS] * len(miss_idx)
 
     stats = TimingStats()
     clock = 0.0
@@ -194,31 +386,40 @@ def _replay_timing(
     stall = 0.0
     contention = 0.0
     bus_free = 0.0
-    pending: Deque[Tuple[int, float]] = deque()
+    buffer_free = 0.0
+    bank_free = [0.0] * config.n_banks
+    # (instructions at issue, completion, holds an MSHR); buffer hits
+    # ride the window rule without holding an MSHR.
+    pending: Deque[Tuple[int, float, bool]] = deque()
+    mshrs_in_use = 0
     window = config.rob_window
     mshrs = config.mshrs
     bus_cycles = config.bus_transfer_cycles
+    buffer_busy = config.buffer_busy_cycles
+    buffer_latency = config.buffer_latency
+    swap_busy = config.swap_busy_cycles
+    q = 0
+    nxt = miss_list[0]
     i = 0
     while i < m:
-        if not pending:
-            nxt = next_miss_list[i]
-            if nxt > i:
-                # Hit run with nothing in flight: the scalar model only
-                # advances the clock here, one += per reference.
-                if nxt - i >= 32:
-                    seg = np.concatenate(([clock], incs_arr[i:nxt]))
-                    clock = float(np.add.accumulate(seg)[-1])
-                else:
-                    for j in range(i, nxt):
-                        clock += incs[j]
-                instructions += int(issued_cum[nxt] - issued_cum[i])
-                i = nxt
-                continue
+        if not pending and nxt > i:
+            # Hit run with nothing in flight: the scalar model only
+            # advances the clock here, one += per reference.
+            if nxt - i >= 32:
+                seg = np.concatenate(([clock], incs_arr[i:nxt]))
+                clock = float(np.add.accumulate(seg)[-1])
+            else:
+                for j in range(i, nxt):
+                    clock += incs[issued_list[j]]
+            instructions += int(issued_cum[nxt] - issued_cum[i])
+            i = nxt
+            continue
         # step(): advance past the gap plus this reference, then retire.
-        clock += incs[i]
-        instructions += issued_list[i]
+        count = issued_list[i]
+        clock += incs[count]
+        instructions += count
         while pending:
-            issue_instr, completion = pending[0]
+            issue_instr, completion, holds = pending[0]
             if completion <= clock:
                 pending.popleft()
             elif instructions - issue_instr > window:
@@ -227,32 +428,76 @@ def _replay_timing(
                 pending.popleft()
             else:
                 break
-        if miss_list[i]:
-            # _fetch_line: the bus is acquired at the current clock ...
-            start = bus_free if bus_free > clock else clock
-            wait = start - clock
-            if wait > 0:
-                contention += wait
-            bus_free = start + bus_cycles
-            # ... then issue_miss acquires an MSHR (stalling to the
-            # earliest completion when all are busy, then sweeping every
-            # completed operation) before the transfer begins.
-            if len(pending) >= mshrs:
-                earliest = min(entry[1] for entry in pending)
-                if earliest > clock:
-                    stall += earliest - clock
-                    clock = earliest
-                still: Deque[Tuple[int, float]] = deque()
-                for entry in pending:
-                    if entry[1] > clock:
-                        still.append(entry)
-                pending = still
-            begin = start if start > clock else clock
-            pending.append((instructions, begin + latency_list[i]))
+            if holds:
+                mshrs_in_use -= 1
+        if i == nxt:
+            event = event_list[q]
+            if event >= _SWAP:
+                # _buffer_hit: occupy_buffer for the read, then
+                # note_short_op (no victim entry is ever still in flight,
+                # so the data is ready after the buffer latency) ...
+                start = buffer_free if buffer_free > clock else clock
+                wait = start - clock
+                if wait > 0:
+                    contention += wait
+                buffer_free = start + buffer_busy
+                ready = start + buffer_latency
+                if ready > clock:
+                    pending.append((instructions, ready, False))
+                # ... then _victim_hit's swap holds the bank, then the
+                # buffer ports.
+                bank = event - _SWAP
+                start = bank_free[bank]
+                if start < clock:
+                    start = clock
+                wait = start - clock
+                if wait > 0:
+                    contention += wait
+                bank_free[bank] = start + swap_busy
+                start = buffer_free if buffer_free > clock else clock
+                wait = start - clock
+                if wait > 0:
+                    contention += wait
+                buffer_free = start + swap_busy
+            else:
+                # _fetch_line: the bus is acquired at the current clock ...
+                start = bus_free if bus_free > clock else clock
+                wait = start - clock
+                if wait > 0:
+                    contention += wait
+                bus_free = start + bus_cycles
+                # ... then issue_miss acquires an MSHR (stalling to the
+                # earliest MSHR-holding completion when all are busy,
+                # then sweeping every completed operation) before the
+                # transfer begins.
+                if mshrs_in_use >= mshrs:
+                    earliest = min(entry[1] for entry in pending if entry[2])
+                    if earliest > clock:
+                        stall += earliest - clock
+                        clock = earliest
+                    still: Deque[Tuple[int, float, bool]] = deque()
+                    for entry in pending:
+                        if entry[1] > clock:
+                            still.append(entry)
+                        elif entry[2]:
+                            mshrs_in_use -= 1
+                    pending = still
+                begin = start if start > clock else clock
+                pending.append((instructions, begin + latency_list[q], True))
+                mshrs_in_use += 1
+                if event == _MISS_FILL:
+                    # _maybe_victim_fill, at the post-stall clock.
+                    start = buffer_free if buffer_free > clock else clock
+                    wait = start - clock
+                    if wait > 0:
+                        contention += wait
+                    buffer_free = start + swap_busy
+            q += 1
+            nxt = miss_list[q]
         i += 1
     # finish(): FIFO-drain whatever is still in flight.
     while pending:
-        _, completion = pending.popleft()
+        _, completion, _ = pending.popleft()
         if completion > clock:
             stall += completion - clock
             clock = completion
@@ -265,7 +510,7 @@ def _replay_timing(
 
 
 # ----------------------------------------------------------------------
-# Pass 4: counter assembly + emission walk
+# Pass 5: counter assembly + emission walk
 # ----------------------------------------------------------------------
 def _counter_prefixes(masks: Dict[str, "np.ndarray"]) -> Dict[str, "np.ndarray"]:
     """``pre[name][p]`` = count of True among the first ``p`` refs."""
@@ -277,30 +522,40 @@ def _counter_prefixes(masks: Dict[str, "np.ndarray"]) -> Dict[str, "np.ndarray"]
     }
 
 
-def _stats_at(prefixes: Dict[str, "np.ndarray"], p: int) -> SystemStats:
+def _stats_at(counts: Dict[str, int], p: int) -> SystemStats:
     """The scalar engine's live counters after ``p`` measured refs.
 
-    Timing and buffer stats stay zero: the scalar ``MemorySystem`` only
-    publishes timing at ``finish()`` (mid-run heartbeat payloads carry
-    the default-constructed zeros), and the vector engine only runs
-    bufferless policies.
+    ``counts[name]`` is the number of flagged references among those
+    ``p`` (a prefix sum, or the whole mask's count at the end).  Timing
+    stays zero: the scalar ``MemorySystem`` only publishes timing at
+    ``finish()`` (mid-run heartbeat payloads carry the
+    default-constructed zeros).  Buffer counters exist only for a
+    buffered run, whose every L1 miss probes the buffer.
     """
     stats = SystemStats()
     l1 = stats.l1
     l1.accesses = p
-    l1.hits = int(prefixes["l1_hit"][p])
+    l1.hits = counts["l1_hit"]
     l1.misses = p - l1.hits
     l1.fills = l1.misses
-    l1.evictions = int(prefixes["l1_evict"][p])
-    l1.writebacks = int(prefixes["l1_wb"][p])
+    l1.evictions = counts["l1_evict"]
+    l1.writebacks = counts["l1_wb"]
+    buffer = stats.buffer
+    if "buffer_hit" in counts:
+        buffer.probes = l1.misses
+        buffer.hits = counts["buffer_hit"]
+        buffer.victim_hits = buffer.hits
+        buffer.swaps = buffer.hits
+        buffer.fills = counts["buffer_fill"]
+        buffer.evictions = counts["buffer_evict"]
     l2 = stats.l2
-    l2.accesses = l1.misses
-    l2.hits = int(prefixes["l2_hit"][p])
+    l2.accesses = l1.misses - buffer.hits
+    l2.hits = counts["l2_hit"]
     l2.misses = l2.accesses - l2.hits
     l2.fills = l2.misses
-    l2.evictions = int(prefixes["l2_evict"][p])
+    l2.evictions = counts["l2_evict"]
     stats.memory_accesses = l2.misses
-    stats.conflict_misses_predicted = int(prefixes["conflict"][p])
+    stats.conflict_misses_predicted = counts["conflict"]
     stats.capacity_misses_predicted = (
         l1.misses - stats.conflict_misses_predicted
     )
@@ -360,24 +615,34 @@ def simulate_vector(
     geometry = machine.l1
     blocks = trace.addresses >> geometry.offset_bits
     writes = np.logical_not(trace.is_load)
-    l1_hit, l1_evict, l1_wb, conflict = l1_pass(
-        blocks, geometry, policy.mct_tag_bits, writes
+    l1_hit, l1_evict, l1_wb, conflict, victim_fill = l1_pass(
+        blocks, geometry, policy.mct_tag_bits, writes,
+        victim_fills=policy.uses_buffer,
     )
     l1_miss = np.logical_not(l1_hit)
-    l2_hit_at, l2_evict_at = _l2_pass(blocks, l1_miss, machine.l2)
-
     m = n - warmup
     masks: Dict[str, "np.ndarray"] = {
         "l1_hit": l1_hit[warmup:],
         "l1_evict": l1_evict[warmup:],
         "l1_wb": l1_wb[warmup:],
-        "l2_hit": l2_hit_at[warmup:],
-        "l2_evict": l2_evict_at[warmup:],
         "conflict": conflict[warmup:],
     }
+    full_miss = l1_miss
+    events = None
+    if victim_fill is not None:
+        full_miss, buffer_masks, events = _buffer_stage(
+            policy, machine, blocks, writes, victim_fill,
+            l1_miss, conflict, l1_wb, warmup,
+        )
+        masks.update(buffer_masks)
+        del victim_fill
+    l2_hit_at, l2_evict_at = _l2_pass(blocks, full_miss, machine.l2)
+    del full_miss
+    masks["l2_hit"] = l2_hit_at[warmup:]
+    masks["l2_evict"] = l2_evict_at[warmup:]
     timing = _replay_timing(
         trace.gaps[warmup:], l1_miss[warmup:], l2_hit_at[warmup:],
-        machine.timing,
+        machine.timing, events,
     )
 
     tick_every = faults.sim_tick_every()
@@ -385,14 +650,16 @@ def simulate_vector(
         ticker.every if ticker is not None and ticker.every > 0 else 0
     )
 
-    prefixes = _counter_prefixes(masks)
-    stats = _stats_at(prefixes, m)
+    stats = _stats_at(
+        {name: int(np.count_nonzero(mask)) for name, mask in masks.items()}, m
+    )
     stats.timing = timing
 
     # Walk the same boundary schedule as the scalar measured loop so the
     # event stream (and any armed sim_tick fault — kills included) is
     # indistinguishable from a scalar run.
     if heartbeat_every or tick_every:
+        prefixes = _counter_prefixes(masks) if heartbeat_every else {}
         for stop, fire, beat in measure_boundaries(
             m, heartbeat_every, tick_every
         ):
@@ -400,7 +667,10 @@ def simulate_vector(
                 faults.fire("sim_tick")
             if beat:
                 assert ticker is not None
-                snapshot = _stats_at(prefixes, stop)
+                snapshot = _stats_at(
+                    {name: int(pre[stop]) for name, pre in prefixes.items()},
+                    stop,
+                )
                 ticker.tick(
                     stop, snapshot.as_dict(), **_heartbeat_fields(snapshot)
                 )

@@ -57,6 +57,25 @@ def reference_flags(addresses, geometry, tag_bits):
     return hit, evict, conflict
 
 
+def reference_victim_fills(addresses, geometry):
+    """Per reference: the position that filled the line it evicts, or -1."""
+    cache = SetAssociativeCache(geometry)
+    filled_at = {}
+    out = []
+    for position, addr in enumerate(addresses):
+        if cache.lookup(addr).hit:
+            out.append(-1)
+            continue
+        evicted = cache.fill(addr).evicted
+        if evicted is None:
+            out.append(-1)
+        else:
+            victim = geometry.compose(evicted.tag, geometry.set_index(addr))
+            out.append(filled_at.pop(geometry.block_number(victim)))
+        filled_at[geometry.block_number(addr)] = position
+    return out
+
+
 class RecordingTicker:
     """Stands in for a ``SimTicker``; records every call in order."""
 
@@ -227,6 +246,44 @@ class TestDirectMappedKernel:
                 resident=state,
                 stored=state.copy(),
             )
+
+    def test_carried_state_refuses_victim_fills(self):
+        geometry = CacheGeometry(size=CAPACITY, assoc=1, line_size=LINE)
+        state = np.full(geometry.num_sets, -1, dtype=np.int64)
+        with pytest.raises(ValueError, match="one-shot"):
+            direct_mapped_pass(
+                np.arange(4, dtype=np.int64),
+                geometry,
+                resident=state,
+                stored=state.copy(),
+                victim_fills=True,
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        blocks=block_ids,
+        assoc=assocs,
+        writes=st.lists(st.booleans(), min_size=300, max_size=300),
+    )
+    def test_victim_fill_positions_equal_scalar(self, blocks, assoc, writes):
+        # The hybrid buffered engine reads each victim's conflict and
+        # dirty bits off the fill that installed it.
+        geometry = CacheGeometry(size=CAPACITY, assoc=assoc, line_size=LINE)
+        addresses = [b * LINE for b in blocks]
+        expected = reference_victim_fills(addresses, geometry)
+        numbers = block_numbers(addresses, geometry)
+        stores = np.array(writes[: len(blocks)], dtype=bool)
+        for store_flags in (None, stores):
+            flags = l1_pass(
+                numbers, geometry, 3, store_flags, victim_fills=True
+            )
+            assert flags.victim_fill is not None
+            assert flags.victim_fill.tolist() == expected
+            # Opting in changes none of the other flags.
+            plain = l1_pass(numbers, geometry, 3, store_flags)
+            assert plain.victim_fill is None
+            for name in ("hit", "evict", "writeback", "conflict"):
+                assert np.array_equal(getattr(flags, name), getattr(plain, name))
 
     def test_block_numbers_refuse_what_int64_cannot_hold(self):
         # Only 1-byte lines leave a 64-bit address's block beyond int64.

@@ -332,6 +332,31 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation):
             self.check(stats)
 
+    def victim_stats(self):
+        # Three blocks fighting over one direct-mapped set hit the victim
+        # cache and swap; every fifth reference is a cold miss to the L2.
+        refs = [(i % 3) * 256 if i % 5 else 4096 + i for i in range(600)]
+        return _simulate_checked(refs, victim.traditional())
+
+    def test_buffer_probe_coupling_violation(self):
+        stats = self.victim_stats()
+        assert stats.buffer.probes == stats.l1.misses > stats.buffer.hits > 0
+        stats.buffer.probes -= 1
+        with pytest.raises(InvariantViolation, match="every L1 miss probes"):
+            self.check(stats)
+
+    def test_buffer_hit_sent_to_l2_violation(self):
+        # A hybrid engine that priced a buffer hit at the L2 as well: the
+        # L2 and memory counters stay self-consistent, the coupling not.
+        stats = self.victim_stats()
+        assert stats.buffer.hits > 0
+        stats.l2.accesses += 1
+        stats.l2.misses += 1
+        stats.l2.fills += 1
+        stats.memory_accesses += 1
+        with pytest.raises(InvariantViolation, match="never reaches the L2"):
+            self.check(stats)
+
     def test_disabled_by_default_outside_harness(self):
         stats = self.good_stats()
         stats.l1.hits += 1  # corrupt — but the gated hook must not fire

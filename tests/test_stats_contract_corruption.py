@@ -19,6 +19,7 @@ from repro.analysis import all_checkers, run
 
 REPO = Path(__file__).parent.parent
 MIRRORED = (
+    "src/repro/buffers/assist.py",
     "src/repro/cache/stats.py",
     "src/repro/cache/set_assoc.py",
     "src/repro/system/simulator.py",
@@ -29,9 +30,9 @@ MIRRORED = (
 VECTOR = "src/repro/system/vector.py"
 
 #: A stats-counter store in the vector engine: every receiver named
-#: l1/l2/stats/timing in vector.py is (an alias into) the SystemStats
-#: tree or the TimingStats object delegated into it.
-_WRITE_RE = re.compile(r"^(\s*)(l1|l2|stats|timing)\.(\w+) = ")
+#: l1/l2/buffer/stats/timing in vector.py is (an alias into) the
+#: SystemStats tree or the TimingStats object delegated into it.
+_WRITE_RE = re.compile(r"^(\s*)(l1|l2|buffer|stats|timing)\.(\w+) = ")
 
 
 def counter_write_lines() -> List[int]:

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.buffers import victim
+from repro.core.filters import ConflictFilter
 from repro.obs import events as obs_events
 from repro.obs.config import ObsConfig
 from repro.obs.validate import main as validate_main
@@ -152,21 +154,127 @@ class TestByteIdentity:
         blocks = trace.addresses >> PAPER_MACHINE.l1.offset_bits
         writes = np.logical_not(trace.is_load)
         for tag_bits in (None, 3):
-            dm = direct_mapped_pass(blocks, PAPER_MACHINE.l1, tag_bits, writes)
-            general = set_assoc_pass(blocks, PAPER_MACHINE.l1, tag_bits, writes)
+            dm = direct_mapped_pass(
+                blocks, PAPER_MACHINE.l1, tag_bits, writes, victim_fills=True
+            )
+            general = set_assoc_pass(
+                blocks, PAPER_MACHINE.l1, tag_bits, writes, victim_fills=True
+            )
             for name, a, b in zip(dm._fields, dm, general):
                 assert np.array_equal(a, b), (name, tag_bits)
 
 
+#: Mostly blocks that crowd a few L1 sets (every 32nd block), so lines
+#: bounce between L1 and the victim buffer, swaps sit next to full
+#: misses, and the buffer fills and evicts constantly.
+hybrid_refs = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(min_value=0, max_value=47).map(lambda b: b * 32),
+            st.integers(min_value=0, max_value=1023),
+        ),
+        st.booleans(),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=400,
+)
+
+#: One MSHR: buffer hits ride the window rule without holding one, so a
+#: full miss behind a swap must stall on the earlier full miss only.
+TIGHT_MSHR_MACHINE = replace(
+    PAPER_MACHINE, timing=replace(PAPER_MACHINE.timing, mshrs=1)
+)
+
+
+class TestHybridByteIdentity:
+    """Swap-always victim caches: kernel L1 + miss-stream buffer replay.
+
+    The buffer stage only ever sees L1 misses, so these tests lean on
+    store-heavy random traces (dirty bits carried through swaps), tiny
+    buffers (constant LRU eviction), partial MCT tags (conflict bits
+    that steer the fill filter) and scarce MSHRs, against the scalar
+    reference.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(refs=hybrid_refs, data=st.data())
+    def test_random_traces(self, refs, data):
+        warmup = data.draw(st.integers(min_value=0, max_value=len(refs) - 1))
+        base = data.draw(
+            st.sampled_from([PAPER_MACHINE, SLOW_BUS_MACHINE, TIGHT_MSHR_MACHINE])
+        )
+        machine = machine_with_assoc(data.draw(st.sampled_from([1, 2, 4, 8])), base)
+        policy = AssistConfig(
+            name="hybrid",
+            buffer_entries=data.draw(st.sampled_from([1, 2, 8])),
+            victim_fills=True,
+            victim_fill_filter=data.draw(
+                st.sampled_from([None, ConflictFilter.OR_CONFLICT])
+            ),
+            mct_tag_bits=data.draw(st.sampled_from([1, 3, None])),
+        )
+        assert vector_supported(policy, machine)
+        trace = make_trace(refs)
+        scalar = simulate(trace, policy, machine, warmup=warmup, engine="scalar")
+        vector = simulate_vector(trace, policy, machine, warmup=warmup)
+        assert canon(vector) == canon(scalar)
+
+    def test_buffer_hit_holds_no_mshr(self):
+        # A (miss), B (miss, evicts A to the buffer), A (swap), C (miss):
+        # with one MSHR, C must wait for B's completion — the swap's
+        # buffer read is in flight too, but holds no MSHR.
+        trace = make_trace([(0, True, 0), (256, True, 0), (0, True, 0), (5000, True, 0)])
+        policy = victim.traditional()
+        scalar = simulate(trace, policy, TIGHT_MSHR_MACHINE, engine="scalar")
+        vector = simulate_vector(trace, policy, TIGHT_MSHR_MACHINE)
+        assert scalar.buffer.swaps == 1
+        assert canon(vector) == canon(scalar)
+
+    @pytest.mark.parametrize("bench", EVAL_SUITE)
+    @pytest.mark.parametrize(
+        "policy", victim.figure3_policies(), ids=lambda p: p.name
+    )
+    def test_suite_fig3_policies(self, bench, policy):
+        # filter swaps / filter both still fall back under auto; all four
+        # bars of Figure 3 must come out as the scalar engine's.
+        trace = build(bench, 4_000, 0)
+        scalar = simulate(trace, policy, warmup=1_000, engine="scalar")
+        auto = simulate(trace, policy, warmup=1_000, engine="auto")
+        assert canon(auto) == canon(scalar)
+
+    def test_experiment_tables(self, monkeypatch):
+        # The Figure 3 and Table 1 tables the campaign publishes, end to
+        # end through the experiment code, under both engines.
+        from repro.experiments import fig3_victim, table1_victim
+        from repro.experiments.base import ExperimentParams
+
+        params = ExperimentParams(
+            n_refs=5_000, warmup=1_500, seed=2, suite=["tomcatv", "gcc"]
+        )
+
+        def tables(engine):
+            monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+            return [
+                json.dumps(module.run(params).to_dict(), sort_keys=True)
+                for module in (fig3_victim, table1_victim)
+            ]
+
+        assert tables("auto") == tables("scalar")
+
+
 class TestEngineDispatch:
     def test_vector_supported_gating(self):
-        from repro.buffers import victim
-
         assert vector_supported(BASELINE, PAPER_MACHINE)
-        # Any assist buffer disqualifies the cell (per-reference buffer
-        # state is inherently sequential)...
-        assert not vector_supported(victim.filter_both(), PAPER_MACHINE)
-        # ...but a set-associative L1 no longer does: the general pass
+        # A swap-always victim cache leaves L1 residency to the kernel,
+        # so the hybrid engine runs it on DM and set-associative L1s ...
+        for machine in (PAPER_MACHINE, machine_with_assoc(4)):
+            assert vector_supported(victim.traditional(), machine)
+            assert vector_supported(victim.filter_fills(), machine)
+            # ... while a no-swap filter changes what L1 holds per hit.
+            assert not vector_supported(victim.filter_swaps(), machine)
+            assert not vector_supported(victim.filter_both(), machine)
+        # A set-associative L1 never disqualifies: the general pass
         # replays per-set LRU with stack distances.
         l2ish = replace(PAPER_MACHINE, l1=PAPER_MACHINE.l2)
         assert vector_supported(BASELINE, l2ish)
@@ -175,12 +283,19 @@ class TestEngineDispatch:
     @pytest.mark.parametrize(
         ("policy_kwargs", "expect"),
         [
-            ({"victim_fills": True}, "victim fills"),
+            (
+                {
+                    "victim_fills": True,
+                    "victim_no_swap_filter": ConflictFilter.OR_CONFLICT,
+                },
+                "or-conflict no-swap filter",
+            ),
+            ({"victim_fills": True, "victim_swap": False}, "victim_swap=False"),
             ({"prefetch": True}, "next-line prefetch"),
             ({"exclusion": ExclusionMode.CAPACITY}, "capacity exclusion"),
             ({}, "raw assist buffer"),
         ],
-        ids=["victim-fills", "prefetch", "exclusion", "raw-buffer"],
+        ids=["no-swap-filter", "no-swap", "prefetch", "exclusion", "raw-buffer"],
     )
     def test_ineligibility_blames_the_feature(self, policy_kwargs, expect):
         policy = AssistConfig(name="culprit", buffer_entries=4, **policy_kwargs)
@@ -189,9 +304,29 @@ class TestEngineDispatch:
         assert expect in reason
         assert "'culprit'" in reason
 
+    def test_ineligibility_names_every_feature(self):
+        policy = AssistConfig(
+            name="kitchen-sink",
+            buffer_entries=8,
+            victim_fills=True,
+            victim_no_swap_filter=ConflictFilter.IN_CONFLICT,
+            prefetch=True,
+            exclusion=ExclusionMode.CONFLICT,
+        )
+        reason = vector_ineligibility(policy, machine_with_assoc(2))
+        assert reason is not None
+        for feature in (
+            "in-conflict no-swap filter",
+            "next-line prefetch",
+            "conflict exclusion",
+        ):
+            assert feature in reason
+
     def test_eligible_policy_has_no_ineligibility_reason(self):
-        assert vector_ineligibility(BASELINE, PAPER_MACHINE) is None
-        assert vector_ineligibility(BASELINE, machine_with_assoc(4)) is None
+        for machine in (PAPER_MACHINE, machine_with_assoc(4)):
+            assert vector_ineligibility(BASELINE, machine) is None
+            assert vector_ineligibility(victim.traditional(), machine) is None
+            assert vector_ineligibility(victim.filter_fills(), machine) is None
 
     def test_unknown_engine_rejected(self):
         trace = build("gcc", 100, 0)
@@ -201,23 +336,17 @@ class TestEngineDispatch:
     def test_vector_demand_raises_with_blame(self):
         # engine="vector" is a demand, not a preference: an ineligible
         # cell must fail loudly and say which feature forced scalar.
-        from repro.buffers import victim
-
         trace = build("gcc", 2_000, 0)
         with pytest.raises(ValueError, match="assist buffer") as excinfo:
             simulate(trace, victim.filter_both(), warmup=100, engine="vector")
         assert "engine='auto'" in str(excinfo.value)
 
     def test_simulate_vector_raises_with_blame(self):
-        from repro.buffers import victim
-
         trace = build("gcc", 500, 0)
         with pytest.raises(ValueError, match="not vector-eligible"):
             simulate_vector(trace, victim.filter_both(), warmup=0)
 
     def test_auto_falls_back_for_unsupported_policy(self):
-        from repro.buffers import victim
-
         trace = build("gcc", 2_000, 0)
         policy = victim.filter_both()
         auto = simulate(trace, policy, warmup=100, engine="auto")
@@ -293,9 +422,27 @@ class TestInstrumentedCampaign:
             sc_path
         )
 
-    def test_auto_fallback_emits_blame_event(self, tmp_path):
-        from repro.buffers import victim
+    @pytest.mark.parametrize("assoc", [1, 2])
+    def test_event_streams_identical_victim_cache(self, tmp_path, assoc):
+        # The hybrid buffered engine: heartbeats carry live buffer
+        # counters (buffer_hit_rate included), read off prefix sums.
+        machine = machine_with_assoc(assoc)
+        policy = victim.traditional()
+        vec_path, vec_stats = self._run(
+            tmp_path, "vector", machine=machine, policy=policy
+        )
+        sc_path, sc_stats = self._run(
+            tmp_path, "scalar", machine=machine, policy=policy
+        )
+        assert canon(vec_stats) == canon(sc_stats)
+        vec_events = self._canonical_events(vec_path)
+        assert vec_events == self._canonical_events(sc_path)
+        beats = [e for e in vec_events if e["type"] == "heartbeat"]
+        assert beats and any(b["buffer_hit_rate"] > 0 for b in beats)
+        events, _ = validate_lines(vec_path.read_text().splitlines())
+        assert reconcile_events(events) == (1, [])
 
+    def test_auto_fallback_emits_blame_event(self, tmp_path):
         policy = victim.filter_both()
         path, _ = self._run(tmp_path, "auto", policy=policy, tag="_fallback")
         events, problems = validate_lines(path.read_text().splitlines())
