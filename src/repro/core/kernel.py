@@ -42,7 +42,10 @@ evicting miss, the trace position of the fill that installed its victim:
 the set's previous miss on a direct-mapped L1, the fill anchor of the
 deaths-FIFO victim's residency otherwise.  A hybrid engine that replays
 only the miss stream through an assist buffer reads each victim's
-conflict and dirty bits off that fill.
+conflict and dirty bits off that fill.  Asked for ``next_in_set``,
+either pass also links each reference to the next one in its set (the
+set sort read as a linked list), so a caller can replay chosen sets
+reference by reference without a sort of its own.
 """
 
 from __future__ import annotations
@@ -58,9 +61,10 @@ from repro.mrc.stack import set_lru_flags
 class L1Flags(NamedTuple):
     """Trace-order per-reference flags of one L1 pass.
 
-    ``victim_fill`` is set only when the pass was asked for it: int64,
-    the trace position of the victim's fill at each evicting miss and
-    ``-1`` everywhere else.
+    ``victim_fill`` and ``next_in_set`` are set only when the pass was
+    asked for them, both int64: the trace position of the victim's fill
+    at each evicting miss, and the position of the next reference to the
+    same set; ``-1`` where there is none.
     """
 
     hit: "np.ndarray"
@@ -68,6 +72,7 @@ class L1Flags(NamedTuple):
     writeback: "np.ndarray"
     conflict: "np.ndarray"
     victim_fill: "Optional[np.ndarray]" = None
+    next_in_set: "Optional[np.ndarray]" = None
 
 
 def check_tag_bits(tag_bits: Optional[int]) -> None:
@@ -129,9 +134,12 @@ def _trace_order(
     writeback: "np.ndarray",
     conflict: "np.ndarray",
     victim_fills: "Optional[_VictimFills]",
+    seg_start: "Optional[np.ndarray]" = None,
 ) -> L1Flags:
-    """Scatter the set-sorted flags back, and the set-sorted victim fill
-    pairs into a trace-order ``victim_fill`` array."""
+    """Scatter the set-sorted flags back, the set-sorted victim fill
+    pairs into a trace-order ``victim_fill`` array and, given the segment
+    starts, each reference's successor in its segment into
+    ``next_in_set``."""
     out = np.empty((4, len(order)), dtype=bool)
     for row, sorted_flags in zip(out, (hit, evict, writeback, conflict)):
         row[order] = sorted_flags
@@ -140,7 +148,12 @@ def _trace_order(
         evicting, filled = victim_fills
         fill_at = np.full(len(order), -1, dtype=np.int64)
         fill_at[order[evicting]] = order[filled]
-    return L1Flags(out[0], out[1], out[2], out[3], fill_at)
+    next_at = None
+    if seg_start is not None:
+        next_at = np.full(len(order), -1, dtype=np.int64)
+        next_at[order[:-1]] = order[1:]
+        next_at[order[np.flatnonzero(seg_start[1:])]] = -1
+    return L1Flags(out[0], out[1], out[2], out[3], fill_at, next_at)
 
 
 def l1_pass(
@@ -150,18 +163,18 @@ def l1_pass(
     writes: "Optional[np.ndarray]" = None,
     *,
     victim_fills: bool = False,
+    next_in_set: bool = False,
 ) -> L1Flags:
     """The kernel for any LRU geometry over int64 ``blocks``.
 
     ``writes`` flags the stores; without it no writeback is flagged.
-    ``victim_fills`` asks for :attr:`L1Flags.victim_fill`.
+    ``victim_fills`` and ``next_in_set`` ask for the
+    :class:`L1Flags` fields of those names.
     """
-    if geometry.assoc == 1:
-        return direct_mapped_pass(
-            blocks, geometry, tag_bits, writes, victim_fills=victim_fills
-        )
-    return set_assoc_pass(
-        blocks, geometry, tag_bits, writes, victim_fills=victim_fills
+    pass_ = direct_mapped_pass if geometry.assoc == 1 else set_assoc_pass
+    return pass_(
+        blocks, geometry, tag_bits, writes,
+        victim_fills=victim_fills, next_in_set=next_in_set,
     )
 
 
@@ -174,6 +187,7 @@ def direct_mapped_pass(
     resident: "Optional[np.ndarray]" = None,
     stored: "Optional[np.ndarray]" = None,
     victim_fills: bool = False,
+    next_in_set: bool = False,
 ) -> L1Flags:
     """The direct-mapped pass, resumable through ``resident``/``stored``.
 
@@ -253,7 +267,10 @@ def direct_mapped_pass(
     resident[s[seg_end]] = b[seg_end]
     del miss_pos, tags, msets, entry, victim, b, s
 
-    return _trace_order(order, hit_s, evict_s, wb_s, conflict_s, fill_s)
+    return _trace_order(
+        order, hit_s, evict_s, wb_s, conflict_s, fill_s,
+        seg_start if next_in_set else None,
+    )
 
 
 def set_assoc_pass(
@@ -263,6 +280,7 @@ def set_assoc_pass(
     writes: "Optional[np.ndarray]" = None,
     *,
     victim_fills: bool = False,
+    next_in_set: bool = False,
 ) -> L1Flags:
     """The set-associative pass: set-LRU flags plus deaths-FIFO victims."""
     check_tag_bits(tag_bits)
@@ -337,4 +355,7 @@ def set_assoc_pass(
         del victim_tags, miss_pos, probe_tags, prior, first, evict_before
     del run_order, b
 
-    return _trace_order(order, hit_s, evict_s, wb_s, conflict_s, fill_s)
+    return _trace_order(
+        order, hit_s, evict_s, wb_s, conflict_s, fill_s,
+        seg_start if next_in_set else None,
+    )

@@ -4,11 +4,13 @@ Measures the numbers every scaling PR must not regress:
 
 * **single-cell throughput** — references simulated per second by one
   :func:`repro.system.simulator.simulate` call (the per-reference hot
-  loop, free of harness overhead), measured three times: on the paper's
+  loop, free of harness overhead), measured four times: on the paper's
   direct-mapped L1, on a 2-way L1 (the general set-associative vector
   pass), and with the paper's 8-entry victim cache on the direct-mapped
-  L1 (the hybrid buffered engine), each alongside the pinned scalar
-  reference so the artifact carries every ``engine_speedup`` figure;
+  L1, swap-always (the hybrid buffered engine) and with both conflict
+  filters (no-swap hits walk their sets off the kernel's pass), each
+  alongside the pinned scalar reference so the artifact carries every
+  ``engine_speedup`` figure;
 * **MRC throughput** — the single-pass stack-distance engine against
   the brute-force per-size FA sweep it replaced: both must agree
   exactly, and the artifact records the speedup (the subsystem's
@@ -51,7 +53,7 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.base import ExperimentParams
 from repro.harness.cells import expand_cells
@@ -60,7 +62,7 @@ from repro.harness.durable import atomic_write_text
 from repro.harness.executor import HarnessConfig, run_cells
 from repro.mrc.curve import brute_force_fa_misses, compute_mrc, default_size_ladder
 from repro.obs.spans import NULL_TRACER, Tracer
-from repro.buffers.victim import traditional
+from repro.buffers.victim import filter_both, traditional
 from repro.system.config import MachineConfig, PAPER_MACHINE
 from repro.system.policies import AssistConfig, BASELINE
 from repro.system.simulator import simulate, validate_engine_env
@@ -87,6 +89,20 @@ def assoc_probe_machine() -> MachineConfig:
     )
 
 
+def single_cell_probes() -> List[Tuple[str, str, MachineConfig, AssistConfig]]:
+    """The single-cell probes: (payload key suffix, label, machine, policy).
+
+    Each is timed under the chosen engine and under the scalar
+    reference, with a byte-identity check between the two.
+    """
+    return [
+        ("", "direct-mapped L1", PAPER_MACHINE, BASELINE),
+        ("_assoc", f"{ASSOC_PROBE_WAYS}-way L1", assoc_probe_machine(), BASELINE),
+        ("_victim", "victim cache", PAPER_MACHINE, traditional()),
+        ("_filtered", "no-swap victim cache", PAPER_MACHINE, filter_both()),
+    ]
+
+
 def measure_single_cell(
     refs: int,
     warmup: int,
@@ -102,9 +118,8 @@ def measure_single_cell(
     The best (not mean) run is the right summary for a regression gate:
     scheduling noise only ever slows a run down, so the fastest repeat is
     the closest estimate of the code's true cost.  ``engine`` selects the
-    simulation engine (both probe policies, the bufferless baseline and
-    the swap-always victim cache, are vector-eligible, so ``"auto"``
-    resolves to the vector engine on any ``machine``).
+    simulation engine (every probe of :func:`single_cell_probes` is
+    vector-eligible, so ``"auto"`` resolves to the vector engine).
     """
     trace = build(SINGLE_CELL_BENCH, refs, seed)
     best = float("inf")
@@ -347,6 +362,7 @@ def check_regression(
     for cell, label in (
         ("single_cell_assoc", "associative-L1"),
         ("single_cell_victim", "victim-cache"),
+        ("single_cell_filtered", "no-swap victim-cache"),
     ):
         if cell not in baseline or cell not in payload:
             continue
@@ -505,55 +521,27 @@ def main(argv: Optional[List[str]] = None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "single_cell": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer, engine=args.engine
-        ),
-        "single_cell_scalar": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer, engine="scalar"
-        ),
-        "engines_identical": engines_identical(args.refs, args.warmup, args.seed),
-        "single_cell_assoc": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer,
-            engine=args.engine, machine=assoc_probe_machine(),
-        ),
-        "single_cell_assoc_scalar": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer,
-            engine="scalar", machine=assoc_probe_machine(),
-        ),
-        "engines_identical_assoc": engines_identical(
-            args.refs, args.warmup, args.seed, machine=assoc_probe_machine()
-        ),
-        "single_cell_victim": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer,
-            engine=args.engine, policy=traditional(),
-        ),
-        "single_cell_victim_scalar": measure_single_cell(
-            args.refs, args.warmup, args.seed, tracer=tracer,
-            engine="scalar", policy=traditional(),
-        ),
-        "engines_identical_victim": engines_identical(
-            args.refs, args.warmup, args.seed, policy=traditional()
-        ),
-        "mrc": measure_mrc(args.refs, args.seed, tracer=tracer),
     }
-    scalar_cell = payload["single_cell_scalar"]
-    payload["engine_speedup"] = round(
-        float(payload["single_cell"]["refs_per_sec"])  # type: ignore[index]
-        / float(scalar_cell["refs_per_sec"]),  # type: ignore[index]
-        2,
-    )
-    assoc_scalar_cell = payload["single_cell_assoc_scalar"]
-    payload["engine_speedup_assoc"] = round(
-        float(payload["single_cell_assoc"]["refs_per_sec"])  # type: ignore[index]
-        / float(assoc_scalar_cell["refs_per_sec"]),  # type: ignore[index]
-        2,
-    )
-    victim_scalar_cell = payload["single_cell_victim_scalar"]
-    payload["engine_speedup_victim"] = round(
-        float(payload["single_cell_victim"]["refs_per_sec"])  # type: ignore[index]
-        / float(victim_scalar_cell["refs_per_sec"]),  # type: ignore[index]
-        2,
-    )
+    for suffix, _, machine, policy in single_cell_probes():
+        cell = measure_single_cell(
+            args.refs, args.warmup, args.seed, tracer=tracer,
+            engine=args.engine, machine=machine, policy=policy,
+        )
+        scalar = measure_single_cell(
+            args.refs, args.warmup, args.seed, tracer=tracer,
+            engine="scalar", machine=machine, policy=policy,
+        )
+        payload[f"single_cell{suffix}"] = cell
+        payload[f"single_cell{suffix}_scalar"] = scalar
+        payload[f"engines_identical{suffix}"] = engines_identical(
+            args.refs, args.warmup, args.seed, machine=machine, policy=policy
+        )
+        payload[f"engine_speedup{suffix}"] = round(
+            float(cell["refs_per_sec"])  # type: ignore[arg-type]
+            / float(scalar["refs_per_sec"]),  # type: ignore[arg-type]
+            2,
+        )
+    payload["mrc"] = measure_mrc(args.refs, args.seed, tracer=tracer)
     if not args.skip_serve:
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as scratch:
             payload["single_node_service"] = measure_service(
@@ -573,55 +561,26 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     out = Path(args.out)
     atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    single = payload["single_cell"]
-    print(
-        f"[bench] single-cell ({single['engine']}): "  # type: ignore[index]
-        f"{single['refs_per_sec']} refs/sec "  # type: ignore[index]
-        f"({single['refs']} refs, best of {single['repeats']})"  # type: ignore[index]
-    )
-    print(
-        f"[bench] single-cell (scalar): {scalar_cell['refs_per_sec']} "  # type: ignore[index]
-        f"refs/sec — engine speedup {payload['engine_speedup']}x, "
-        f"identical stats: {payload['engines_identical']}"
-    )
-    if not payload["engines_identical"]:
+    for suffix, label, _, policy in single_cell_probes():
+        cell = payload[f"single_cell{suffix}"]
+        scalar = payload[f"single_cell{suffix}_scalar"]
+        assert isinstance(cell, dict) and isinstance(scalar, dict)
+        identical = payload[f"engines_identical{suffix}"]
         print(
-            "[bench] ERROR: vector engine disagrees with the scalar reference",
-            file=sys.stderr,
+            f"[bench] single-cell ({label}, {policy.name}, "
+            f"{cell['engine']}): {cell['refs_per_sec']} refs/sec vs "
+            f"{scalar['refs_per_sec']} scalar "
+            f"({cell['refs']} refs, best of {cell['repeats']}) "
+            f"— engine speedup {payload[f'engine_speedup{suffix}']}x, "
+            f"identical stats: {identical}"
         )
-        return 1
-    assoc_cell = payload["single_cell_assoc"]
-    print(
-        f"[bench] single-cell ({ASSOC_PROBE_WAYS}-way L1, "
-        f"{assoc_cell['engine']}): "  # type: ignore[index]
-        f"{assoc_cell['refs_per_sec']} refs/sec vs "  # type: ignore[index]
-        f"{assoc_scalar_cell['refs_per_sec']} scalar "  # type: ignore[index]
-        f"— engine speedup {payload['engine_speedup_assoc']}x, "
-        f"identical stats: {payload['engines_identical_assoc']}"
-    )
-    if not payload["engines_identical_assoc"]:
-        print(
-            "[bench] ERROR: vector engine disagrees with the scalar "
-            f"reference on the {ASSOC_PROBE_WAYS}-way L1 probe",
-            file=sys.stderr,
-        )
-        return 1
-    victim_cell = payload["single_cell_victim"]
-    print(
-        f"[bench] single-cell ({victim_cell['policy']}, "  # type: ignore[index]
-        f"{victim_cell['engine']}): "  # type: ignore[index]
-        f"{victim_cell['refs_per_sec']} refs/sec vs "  # type: ignore[index]
-        f"{victim_scalar_cell['refs_per_sec']} scalar "  # type: ignore[index]
-        f"— engine speedup {payload['engine_speedup_victim']}x, "
-        f"identical stats: {payload['engines_identical_victim']}"
-    )
-    if not payload["engines_identical_victim"]:
-        print(
-            "[bench] ERROR: vector engine disagrees with the scalar "
-            "reference on the victim-cache probe",
-            file=sys.stderr,
-        )
-        return 1
+        if not identical:
+            print(
+                "[bench] ERROR: vector engine disagrees with the scalar "
+                f"reference on the {label} probe",
+                file=sys.stderr,
+            )
+            return 1
     mrc = payload["mrc"]
     print(
         f"[bench] mrc: {mrc['refs_per_sec']} refs/sec, "  # type: ignore[index]

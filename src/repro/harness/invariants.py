@@ -153,7 +153,9 @@ def check_system_stats(
     by one :class:`~repro.system.memory_system.MemorySystem` run (every L1
     access steps the clock; every L1 miss is classified exactly once;
     every L1 miss probes the buffer, if there is one; the L2 sees exactly
-    the misses the buffer did not serve, plus the prefetches).  Pass
+    the misses the buffer did not serve, plus the prefetches; a victim
+    hit served without a swap or an exclusion hit fills nothing into
+    L1).  Pass
     ``coupled=False`` for merged or synthetic stats where only the
     per-object laws apply.
     """
@@ -186,6 +188,12 @@ def check_system_stats(
         _fail(context, f"L2 accesses ({stats.l2.accesses}) != L1 misses - "
               f"buffer hits + prefetches issued ({l2_requests}) — a buffer "
               "hit never reaches the L2", stats)
+    unfilled = buffer.victim_hits - buffer.swaps + buffer.exclusion_hits
+    if stats.l1.misses - stats.l1.fills < unfilled:
+        _fail(context, f"L1 misses - fills ({stats.l1.misses} - "
+              f"{stats.l1.fills}) below victim hits without a swap plus "
+              f"exclusion hits ({unfilled}) — such a hit fills nothing into "
+              "L1", stats)
 
 
 def check_accuracy_result(result: "object", context: str = "accuracy") -> None:

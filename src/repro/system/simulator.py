@@ -8,7 +8,8 @@ Two engines produce byte-identical statistics:
   live :class:`~repro.system.memory_system.MemorySystem`.
 * ``vector`` — the set-partitioned numpy engine
   (:mod:`repro.system.vector`), an order of magnitude faster for the
-  policies it supports: bufferless ones and swap-always victim caches.
+  policies it supports: bufferless ones, swap-always victim caches, and
+  on a direct-mapped L1 every victim cache (no-swap rules included).
 
 ``engine="auto"`` (the default) picks the vector engine whenever the
 run is eligible and can be overridden per process with the
@@ -86,11 +87,12 @@ def simulate(
     reference per-reference loop, ``"vector"`` *demands* the
     set-partitioned engine, and ``"auto"`` (the default, further
     overridable via :data:`ENGINE_ENV_VAR`) uses the vector engine when
-    the run is eligible: no assist buffer, or a victim cache whose every
-    hit swaps back into L1.  For an ineligible cell (an assist buffer
-    that changes L1 residency: no-swap victim hits, prefetch or
-    exclusion — see :func:`repro.system.vector.vector_ineligibility`)
-    ``"auto"`` falls back to the scalar engine, recording an ``engine_fallback`` event
+    the run is eligible: no assist buffer, a victim cache whose every
+    hit swaps back into L1, or any victim cache on a direct-mapped L1.
+    For an ineligible cell (prefetch or exclusion, or victim hits served
+    without a swap on a set-associative L1 — see
+    :func:`repro.system.vector.vector_ineligibility`) ``"auto"`` falls
+    back to the scalar engine, recording an ``engine_fallback`` event
     with the reason when metrics are active, while ``"vector"`` raises
     the reason — a demand that cannot be honoured must not silently
     time the wrong engine.  The engines are byte-identical, so auto's

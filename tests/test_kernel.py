@@ -285,6 +285,26 @@ class TestDirectMappedKernel:
             for name in ("hit", "evict", "writeback", "conflict"):
                 assert np.array_equal(getattr(flags, name), getattr(plain, name))
 
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=block_ids, assoc=assocs)
+    def test_next_in_set_links_each_set_in_order(self, blocks, assoc):
+        # The hybrid engine walks a set knocked off the kernel's pass
+        # along these links, one reference at a time.
+        geometry = CacheGeometry(size=CAPACITY, assoc=assoc, line_size=LINE)
+        numbers = block_numbers([b * LINE for b in blocks], geometry)
+        sets = [b % geometry.num_sets for b in blocks]
+        expected = [
+            next((j for j in range(i + 1, len(sets)) if sets[j] == sets[i]), -1)
+            for i in range(len(sets))
+        ]
+        flags = l1_pass(numbers, geometry, 3, next_in_set=True)
+        assert flags.next_in_set is not None
+        assert flags.next_in_set.tolist() == expected
+        plain = l1_pass(numbers, geometry, 3)
+        assert plain.next_in_set is None
+        for name in ("hit", "evict", "writeback", "conflict"):
+            assert np.array_equal(getattr(flags, name), getattr(plain, name))
+
     def test_block_numbers_refuse_what_int64_cannot_hold(self):
         # Only 1-byte lines leave a 64-bit address's block beyond int64.
         byte_lines = CacheGeometry(size=CAPACITY, assoc=1, line_size=1)

@@ -242,6 +242,26 @@ class TestBenchHarness:
         assert payload["single_cell_victim_scalar"]["engine"] == "scalar"
         assert payload["engines_identical_victim"] is True
 
+    def test_filtered_cell_is_measured_and_gated(self, tmp_path):
+        out = tmp_path / "BENCH_sweep.json"
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({
+            "schema": 1,
+            "single_cell": {"refs_per_sec": 1.0},
+            "single_cell_filtered": {"refs_per_sec": 1e12},
+        }))
+        rc = bench.main([
+            "--refs", "2000", "--warmup", "500", "--skip-sweep", "--skip-serve",
+            "--out", str(out), "--check-against", str(baseline),
+        ])
+        assert rc == 1
+        payload = json.loads(out.read_text())
+        assert payload["single_cell_filtered"]["policy"] == "filter both"
+        assert payload["single_cell_filtered"]["engine"] == "auto"
+        assert payload["single_cell_filtered_scalar"]["engine"] == "scalar"
+        assert payload["engines_identical_filtered"] is True
+        assert payload["engine_speedup_filtered"] > 0
+
     def test_sweep_measures_and_cross_checks(self, tmp_path):
         sweep = bench.measure_sweep(
             refs=1_200, warmup=200, seed=0, jobs=2, scratch=tmp_path
@@ -258,16 +278,20 @@ class TestBenchHarness:
         payload = json.loads(open(path).read())
         assert payload["schema"] == bench.BENCH_SCHEMA
         assert payload["single_cell"]["refs_per_sec"] > 0
-        victim_cell = payload["single_cell_victim"]
-        assert victim_cell["policy"] == "V cache"
-        # The floor must sit above anything the scalar loop reached on
-        # the recorded box, even after the CI job's 0.7x allowance.
-        measured = victim_cell["measured"]
-        assert measured["machine"]["nproc"] > 0
-        scalar_best = max(
-            rate
-            for size in measured.values()
-            if "scalar_refs_per_sec" in size
-            for rate in size["scalar_refs_per_sec"]
-        )
-        assert victim_cell["refs_per_sec"] * 0.7 > scalar_best
+        for cell, policy in (
+            ("single_cell_victim", "V cache"),
+            ("single_cell_filtered", "filter both"),
+        ):
+            buffered = payload[cell]
+            assert buffered["policy"] == policy
+            # The floor must sit above anything the scalar loop reached
+            # on the recorded box, even after the CI job's 0.7x allowance.
+            measured = buffered["measured"]
+            assert measured["machine"]["nproc"] > 0
+            scalar_best = max(
+                rate
+                for size in measured.values()
+                if "scalar_refs_per_sec" in size
+                for rate in size["scalar_refs_per_sec"]
+            )
+            assert buffered["refs_per_sec"] * 0.7 > scalar_best

@@ -357,6 +357,16 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation, match="never reaches the L2"):
             self.check(stats)
 
+    def test_unswapped_hit_fills_l1_violation(self):
+        # An engine that counted an L1 fill for every miss, though a
+        # victim hit served without a swap leaves L1 alone.
+        refs = [(i % 3) * 256 if i % 5 else 4096 + i for i in range(600)]
+        stats = _simulate_checked(refs, victim.filter_swaps())
+        assert stats.buffer.swaps < stats.buffer.victim_hits
+        stats.l1.fills = stats.l1.misses
+        with pytest.raises(InvariantViolation, match="fills nothing"):
+            self.check(stats)
+
     def test_disabled_by_default_outside_harness(self):
         stats = self.good_stats()
         stats.l1.hits += 1  # corrupt — but the gated hook must not fire

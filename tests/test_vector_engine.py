@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffers import victim
-from repro.core.filters import ConflictFilter
+from repro.buffers import amb, victim
+from repro.core.filters import ALL_FILTERS, ConflictFilter
 from repro.obs import events as obs_events
 from repro.obs.config import ObsConfig
 from repro.obs.validate import main as validate_main
@@ -155,10 +155,12 @@ class TestByteIdentity:
         writes = np.logical_not(trace.is_load)
         for tag_bits in (None, 3):
             dm = direct_mapped_pass(
-                blocks, PAPER_MACHINE.l1, tag_bits, writes, victim_fills=True
+                blocks, PAPER_MACHINE.l1, tag_bits, writes,
+                victim_fills=True, next_in_set=True,
             )
             general = set_assoc_pass(
-                blocks, PAPER_MACHINE.l1, tag_bits, writes, victim_fills=True
+                blocks, PAPER_MACHINE.l1, tag_bits, writes,
+                victim_fills=True, next_in_set=True,
             )
             for name, a, b in zip(dm._fields, dm, general):
                 assert np.array_equal(a, b), (name, tag_bits)
@@ -177,6 +179,24 @@ hybrid_refs = st.lists(
         st.integers(min_value=0, max_value=7),
     ),
     min_size=1,
+    max_size=400,
+)
+
+#: Longer traces where a dozen blocks crowd three L1 sets, so lines come
+#: back from the victim buffer often and no-swap hits knock sets off the
+#: kernel's pass, rejoin and diverge again within one example.
+no_swap_refs = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(min_value=0, max_value=11).map(
+                lambda b: (b % 3) * 64 + (b // 3) * 256
+            ),
+            st.integers(min_value=0, max_value=1023),
+        ),
+        st.booleans(),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=30,
     max_size=400,
 )
 
@@ -233,20 +253,23 @@ class TestHybridByteIdentity:
 
     @pytest.mark.parametrize("bench", EVAL_SUITE)
     @pytest.mark.parametrize(
-        "policy", victim.figure3_policies(), ids=lambda p: p.name
+        "policy", victim.figure3_policies() + [amb.vict()], ids=lambda p: p.name
     )
     def test_suite_fig3_policies(self, bench, policy):
-        # filter swaps / filter both still fall back under auto; all four
-        # bars of Figure 3 must come out as the scalar engine's.
+        # All four bars of Figure 3 and the AMB's Vict run on the vector
+        # engine under auto and must come out as the scalar engine's.
+        assert vector_supported(policy, PAPER_MACHINE)
         trace = build(bench, 4_000, 0)
         scalar = simulate(trace, policy, warmup=1_000, engine="scalar")
         auto = simulate(trace, policy, warmup=1_000, engine="auto")
         assert canon(auto) == canon(scalar)
 
     def test_experiment_tables(self, monkeypatch):
-        # The Figure 3 and Table 1 tables the campaign publishes, end to
-        # end through the experiment code, under both engines.
-        from repro.experiments import fig3_victim, table1_victim
+        # The Figure 3, Table 1 and Figure 6 tables the campaign
+        # publishes, end to end through the experiment code, under both
+        # engines (Figure 6 mixes vector Vict with scalar prefetch and
+        # exclusion cells).
+        from repro.experiments import fig3_victim, fig6_amb, table1_victim
         from repro.experiments.base import ExperimentParams
 
         params = ExperimentParams(
@@ -257,10 +280,75 @@ class TestHybridByteIdentity:
             monkeypatch.setenv(ENGINE_ENV_VAR, engine)
             return [
                 json.dumps(module.run(params).to_dict(), sort_keys=True)
-                for module in (fig3_victim, table1_victim)
+                for module in (fig3_victim, table1_victim, fig6_amb)
             ]
 
         assert tables("auto") == tables("scalar")
+
+
+class TestNoSwapByteIdentity:
+    """No-swap victim caches: sets knocked off the kernel are walked.
+
+    A buffer hit served without a swap leaves the set holding its old
+    line while the kernel's pass installed the missed one; the engine
+    walks that set reference by reference until a fill evicts the
+    kernel's block.  Crowded sets, stores, tiny buffers, partial tags
+    and every swap and fill rule stress the diverge/rejoin bookkeeping
+    against the scalar reference.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(refs=no_swap_refs, data=st.data())
+    def test_random_traces(self, refs, data):
+        warmup = data.draw(st.integers(min_value=0, max_value=len(refs) // 2))
+        machine = data.draw(
+            st.sampled_from([PAPER_MACHINE, SLOW_BUS_MACHINE, TIGHT_MSHR_MACHINE])
+        )
+        swap_rule = data.draw(st.sampled_from(ALL_FILTERS + ("never",)))
+        policy = AssistConfig(
+            name="no-swap",
+            buffer_entries=data.draw(st.sampled_from([1, 2, 8])),
+            victim_fills=True,
+            victim_fill_filter=data.draw(st.sampled_from((None,) + ALL_FILTERS)),
+            victim_swap=swap_rule != "never",
+            victim_no_swap_filter=None if swap_rule == "never" else swap_rule,
+            mct_tag_bits=data.draw(st.sampled_from([1, 3, None])),
+        )
+        assert vector_supported(policy, machine)
+        trace = make_trace(refs)
+        scalar = simulate(trace, policy, machine, warmup=warmup, engine="scalar")
+        vector = simulate_vector(trace, policy, machine, warmup=warmup)
+        assert canon(vector) == canon(scalar)
+
+    def test_diverge_rejoin_diverge(self):
+        # Blocks A..D share set 0 of the 256-set L1; nothing ever swaps.
+        a, b, c, d = 0, 256, 512, 768
+        trace = make_trace(
+            [
+                (a, True, 1),
+                (b, True, 2),  # A -> buffer
+                (a, True, 0),  # served from the buffer: set 0 diverges
+                (b, False, 3),  # store: an L1 hit here, a kernel miss
+                (a, True, 1),  # served again; the kernel evicts B here
+                (c, True, 0),  # evicts the dirty B: the store's writeback
+                (d, True, 2),  # evicts C as the kernel does: rejoin
+                (c, True, 0),  # served from the buffer: diverges again
+                (d, True, 1),
+                (1, False, 0),  # another set, on the kernel's pass
+            ]
+        )
+        policy = AssistConfig(
+            name="never swap", buffer_entries=8, victim_fills=True, victim_swap=False
+        )
+        scalar = simulate(trace, policy, engine="scalar")
+        assert scalar.buffer.hits == 3 and scalar.buffer.swaps == 0
+        assert scalar.l1.hits == 2 and scalar.l1.writebacks == 1
+        assert canon(simulate_vector(trace, policy)) == canon(scalar)
+
+
+
+#: Policies whose victim hits are (sometimes) served without a swap.
+NO_SWAP_PRESETS = (victim.filter_swaps(), victim.filter_both(), amb.vict())
 
 
 class TestEngineDispatch:
@@ -271,11 +359,22 @@ class TestEngineDispatch:
         for machine in (PAPER_MACHINE, machine_with_assoc(4)):
             assert vector_supported(victim.traditional(), machine)
             assert vector_supported(victim.filter_fills(), machine)
-            # ... while a no-swap filter changes what L1 holds per hit.
-            assert not vector_supported(victim.filter_swaps(), machine)
-            assert not vector_supported(victim.filter_both(), machine)
-        # A set-associative L1 never disqualifies: the general pass
-        # replays per-set LRU with stack distances.
+        # ... a no-swap rule knocks sets off the kernel, which a
+        # direct-mapped set rejoins but an LRU stack could not.
+        four_way = machine_with_assoc(4)
+        for policy in NO_SWAP_PRESETS:
+            assert vector_supported(policy, PAPER_MACHINE)
+            assert not vector_supported(policy, four_way)
+            reason = vector_ineligibility(policy, four_way)
+            assert reason is not None and "4-way" in reason
+        # Prefetch, exclusion and raw buffers stay scalar on any L1.
+        for policy in (amb.pref(), amb.excl(), amb.vict_pref()):
+            for machine in (PAPER_MACHINE, four_way):
+                assert not vector_supported(policy, machine)
+        raw = AssistConfig(name="raw", buffer_entries=4)
+        assert not vector_supported(raw, PAPER_MACHINE)
+        # A set-associative L1 never disqualifies a bufferless run: the
+        # general pass replays per-set LRU with stack distances.
         l2ish = replace(PAPER_MACHINE, l1=PAPER_MACHINE.l2)
         assert vector_supported(BASELINE, l2ish)
         assert vector_supported(BASELINE, machine_with_assoc(8))
@@ -298,8 +397,9 @@ class TestEngineDispatch:
         ids=["no-swap-filter", "no-swap", "prefetch", "exclusion", "raw-buffer"],
     )
     def test_ineligibility_blames_the_feature(self, policy_kwargs, expect):
+        # On a 2-way L1, where a no-swap rule disqualifies as well.
         policy = AssistConfig(name="culprit", buffer_entries=4, **policy_kwargs)
-        reason = vector_ineligibility(policy, PAPER_MACHINE)
+        reason = vector_ineligibility(policy, machine_with_assoc(2))
         assert reason is not None
         assert expect in reason
         assert "'culprit'" in reason
@@ -327,6 +427,11 @@ class TestEngineDispatch:
             assert vector_ineligibility(BASELINE, machine) is None
             assert vector_ineligibility(victim.traditional(), machine) is None
             assert vector_ineligibility(victim.filter_fills(), machine) is None
+        never_swap = AssistConfig(
+            name="never swap", buffer_entries=4, victim_fills=True, victim_swap=False
+        )
+        for policy in NO_SWAP_PRESETS + (never_swap,):
+            assert vector_ineligibility(policy, PAPER_MACHINE) is None
 
     def test_unknown_engine_rejected(self):
         trace = build("gcc", 100, 0)
@@ -337,20 +442,27 @@ class TestEngineDispatch:
         # engine="vector" is a demand, not a preference: an ineligible
         # cell must fail loudly and say which feature forced scalar.
         trace = build("gcc", 2_000, 0)
+        two_way = machine_with_assoc(2)
         with pytest.raises(ValueError, match="assist buffer") as excinfo:
-            simulate(trace, victim.filter_both(), warmup=100, engine="vector")
+            simulate(
+                trace, victim.filter_both(), two_way, warmup=100, engine="vector"
+            )
         assert "engine='auto'" in str(excinfo.value)
+        assert "2-way" in str(excinfo.value)
 
     def test_simulate_vector_raises_with_blame(self):
         trace = build("gcc", 500, 0)
         with pytest.raises(ValueError, match="not vector-eligible"):
-            simulate_vector(trace, victim.filter_both(), warmup=0)
+            simulate_vector(
+                trace, victim.filter_both(), machine_with_assoc(2), warmup=0
+            )
 
     def test_auto_falls_back_for_unsupported_policy(self):
         trace = build("gcc", 2_000, 0)
         policy = victim.filter_both()
-        auto = simulate(trace, policy, warmup=100, engine="auto")
-        scalar = simulate(trace, policy, warmup=100, engine="scalar")
+        two_way = machine_with_assoc(2)
+        auto = simulate(trace, policy, two_way, warmup=100, engine="auto")
+        scalar = simulate(trace, policy, two_way, warmup=100, engine="scalar")
         assert canon(auto) == canon(scalar)
 
     def test_env_var_steers_auto_but_not_explicit(self, monkeypatch):
@@ -442,9 +554,27 @@ class TestInstrumentedCampaign:
         events, _ = validate_lines(vec_path.read_text().splitlines())
         assert reconcile_events(events) == (1, [])
 
+    def test_event_streams_identical_no_swap(self, tmp_path):
+        # filter both on DM: walked sets feed the heartbeats' buffer and
+        # L1 counters too.
+        policy = victim.filter_both()
+        vec_path, vec_stats = self._run(tmp_path, "vector", policy=policy)
+        sc_path, sc_stats = self._run(tmp_path, "scalar", policy=policy)
+        assert canon(vec_stats) == canon(sc_stats)
+        assert sc_stats.buffer.swaps < sc_stats.buffer.hits
+        vec_events = self._canonical_events(vec_path)
+        assert vec_events == self._canonical_events(sc_path)
+        beats = [e for e in vec_events if e["type"] == "heartbeat"]
+        assert beats and any(b["buffer_hit_rate"] > 0 for b in beats)
+        events, _ = validate_lines(vec_path.read_text().splitlines())
+        assert reconcile_events(events) == (1, [])
+
     def test_auto_fallback_emits_blame_event(self, tmp_path):
         policy = victim.filter_both()
-        path, _ = self._run(tmp_path, "auto", policy=policy, tag="_fallback")
+        path, _ = self._run(
+            tmp_path, "auto", machine=machine_with_assoc(2), policy=policy,
+            tag="_fallback",
+        )
         events, problems = validate_lines(path.read_text().splitlines())
         assert problems == []
         falls = [e for e in events if e["type"] == "engine_fallback"]
